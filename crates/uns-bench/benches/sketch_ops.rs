@@ -12,13 +12,22 @@ use uns_sketch::{
     CountMinSketch, CountSketch, ExactFrequencyOracle, FrequencyEstimator, HashFamily,
     HashFamilyKind, UniversalHash,
 };
-use uns_streams::adversary::peak_attack_distribution;
+use uns_streams::adversary::{peak_attack_distribution, targeted_flooding_distribution};
 use uns_streams::IdStream;
 
 const STREAM_LEN: usize = 10_000;
 
 fn ids() -> Vec<u64> {
     IdStream::new(peak_attack_distribution(10_000).unwrap(), 3)
+        .take(STREAM_LEN)
+        .map(NodeId::as_u64)
+        .collect()
+}
+
+/// The Fig. 7b stream (targeted + flooding attack), which the service
+/// benchmark's Count-sketch workload feeds.
+fn flooding_ids() -> Vec<u64> {
+    IdStream::new(targeted_flooding_distribution(10_000).unwrap(), 4)
         .take(STREAM_LEN)
         .map(NodeId::as_u64)
         .collect()
@@ -211,13 +220,33 @@ fn bench_fused(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // The service benchmark's `estimator.record_ns_per_elem` stage as a
+    // kernel: the Count sketch at the mixed_rw workload's k = 250, s = 10
+    // (hash, update, read, median per id), next to Count-Min at the Fig. 7
+    // k = 10, s = 5 on the same stream.
+    let flooding = flooding_ids();
+    group.bench_function("count_sketch_record_and_estimate_k250_s10", |b| {
+        b.iter(|| {
+            let mut sketch = CountSketch::with_dimensions(250, 10, 1).unwrap();
+            for &id in &flooding {
+                black_box(sketch.record_and_estimate(id));
+            }
+        })
+    });
+    group.bench_function("count_min_record_and_estimate_k10_s5", |b| {
+        b.iter(|| {
+            let mut sketch = CountMinSketch::with_dimensions(10, 5, 1).unwrap();
+            for &id in &flooding {
+                black_box(sketch.record_and_estimate(id));
+            }
+        })
+    });
     group.finish();
 }
 
 fn bench_row_updates(c: &mut Criterion) {
-    // Chunked index-precompute row updates (the default record paths since
-    // PR 4) against the retained rowwise scalar references: same cells,
-    // same floors, different instruction scheduling.
+    // The chunked index-precompute row updates of both sketches' fused
+    // record paths.
     let ids = ids();
     let mut group = c.benchmark_group("sketch_row_updates");
     group.throughput(Throughput::Elements(STREAM_LEN as u64));
@@ -232,34 +261,12 @@ fn bench_row_updates(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("count_min_rowwise", |b| {
-        b.iter(|| {
-            let mut sketch = CountMinSketch::with_dimensions(10, 5, 1).unwrap();
-            let mut acc = 0u64;
-            for &id in &ids {
-                let (estimate, floor) = sketch.record_and_estimate_rowwise(id);
-                acc = acc.wrapping_add(estimate).wrapping_add(floor);
-            }
-            black_box(acc)
-        })
-    });
     group.bench_function("count_sketch_unrolled", |b| {
         b.iter(|| {
             let mut sketch = CountSketch::with_dimensions(50, 10, 1).unwrap();
             let mut acc = 0u64;
             for &id in &ids {
                 let (estimate, floor) = sketch.record_and_estimate(id);
-                acc = acc.wrapping_add(estimate).wrapping_add(floor);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("count_sketch_rowwise", |b| {
-        b.iter(|| {
-            let mut sketch = CountSketch::with_dimensions(50, 10, 1).unwrap();
-            let mut acc = 0u64;
-            for &id in &ids {
-                let (estimate, floor) = sketch.record_and_estimate_rowwise(id);
                 acc = acc.wrapping_add(estimate).wrapping_add(floor);
             }
             black_box(acc)

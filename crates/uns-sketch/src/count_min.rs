@@ -303,8 +303,7 @@ impl CountMinSketch {
     /// independently of the loads and stores it feeds.
     ///
     /// Equivalent to `record(id)` then `(estimate(id), floor_estimate())`
-    /// under both update policies (and to the retained scalar reference
-    /// [`CountMinSketch::record_and_estimate_rowwise`]).
+    /// under both update policies.
     pub fn record_and_estimate(&mut self, id: u64) -> (u64, u64) {
         let prepared = self.family.prepare(id);
         match self.policy {
@@ -337,10 +336,10 @@ impl CountMinSketch {
     /// [`CountMinSketch::record_and_estimate`]: one rolled loop that hashes
     /// a row and immediately writes its cell — under **both** update
     /// policies, so neither arm shares code with the chunked path under
-    /// test. Retained as the reference the unrolled path is
-    /// differential-tested (and benchmarked, group `sketch_row_updates`)
+    /// test. The reference the unrolled path is differential-tested
     /// against; behaviourally identical.
-    pub fn record_and_estimate_rowwise(&mut self, id: u64) -> (u64, u64) {
+    #[cfg(test)]
+    fn record_and_estimate_rowwise(&mut self, id: u64) -> (u64, u64) {
         let prepared = self.family.prepare(id);
         let target = match self.policy {
             UpdatePolicy::Standard => 0, // unused

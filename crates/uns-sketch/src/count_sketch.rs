@@ -14,7 +14,7 @@
 use crate::count_min::ROW_CHUNK;
 use crate::error::SketchError;
 use crate::hash::{with_family_rows, FamilyRowHashes, HashFamily, HashFamilyKind, PreparedRowHash};
-use crate::min_tracker::LazyTournamentTracker;
+use crate::median::{clamped_median, NETWORK_MAX_DEPTH};
 use crate::FrequencyEstimator;
 
 /// Splits one packed row evaluation into `(absolute cell index, sign)` for
@@ -54,13 +54,13 @@ fn chunk_cell_signs<H: PreparedRowHash>(
     out
 }
 
-/// The chunked per-row update loop behind [`CountSketch::record_many`],
-/// instantiated once per hash family (no row dispatch inside).
+/// The chunked per-row update loop behind [`CountSketch::record_many`] and
+/// [`CountSketch::record_unfloored`], instantiated once per hash family (no
+/// row dispatch inside).
 #[inline]
 fn update_rows<H: PreparedRowHash>(
     rows: &[H],
     cells: &mut [i64],
-    floor: &mut LazyTournamentTracker,
     width: usize,
     prepared: u64,
     count: i64,
@@ -70,31 +70,29 @@ fn update_rows<H: PreparedRowHash>(
         let pairs = chunk_cell_signs(row_chunk, width, first_row, prepared);
         for &(idx, sign) in &pairs[..row_chunk.len()] {
             cells[idx] += sign * count;
-            floor.mark(idx);
         }
         first_row += row_chunk.len();
     }
 }
 
 /// The chunked update loop behind [`CountSketch::record_and_estimate`]:
-/// updates each touched cell, marks it dirty, and collects the signed
-/// per-row readings into `scratch` for the median.
+/// updates each touched cell and writes its signed reading into
+/// `readings` (one per row) for the median.
 #[inline]
 fn update_rows_estimating<H: PreparedRowHash>(
     rows: &[H],
     cells: &mut [i64],
-    floor: &mut LazyTournamentTracker,
-    scratch: &mut Vec<i64>,
+    readings: &mut [i64],
     width: usize,
     prepared: u64,
 ) {
     let mut first_row = 0;
     for row_chunk in rows.chunks(ROW_CHUNK) {
         let pairs = chunk_cell_signs(row_chunk, width, first_row, prepared);
-        for &(idx, sign) in &pairs[..row_chunk.len()] {
+        let chunk_readings = &mut readings[first_row..first_row + row_chunk.len()];
+        for (reading, &(idx, sign)) in chunk_readings.iter_mut().zip(&pairs) {
             cells[idx] += sign;
-            floor.mark(idx);
-            scratch.push(sign * cells[idx]);
+            *reading = sign * cells[idx];
         }
         first_row += row_chunk.len();
     }
@@ -103,19 +101,11 @@ fn update_rows_estimating<H: PreparedRowHash>(
 /// The whole-batch loop behind [`CountSketch::record_unfloored`]: per-id
 /// preparation and all row updates run monomorphically (including
 /// [`PreparedRowHash::prepare`], so Mersenne batches inline the field fold
-/// directly), with no floor-engine traffic at all.
+/// directly).
 #[inline]
 fn record_batch_rows<H: PreparedRowHash>(rows: &[H], cells: &mut [i64], width: usize, ids: &[u64]) {
     for &id in ids {
-        let prepared = H::prepare(id);
-        let mut first_row = 0;
-        for row_chunk in rows.chunks(ROW_CHUNK) {
-            let pairs = chunk_cell_signs(row_chunk, width, first_row, prepared);
-            for &(idx, sign) in &pairs[..row_chunk.len()] {
-                cells[idx] += sign;
-            }
-            first_row += row_chunk.len();
-        }
+        update_rows(rows, cells, width, H::prepare(id), 1);
     }
 }
 
@@ -153,22 +143,10 @@ pub struct CountSketch {
     family: HashFamilyKind,
     total: u64,
     seed: u64,
-    /// Reusable per-row readings buffer for the fused record+estimate path,
-    /// keeping steady-state ingestion allocation-free.
+    /// Reusable per-row readings buffer (`depth` long) for the fused
+    /// record+estimate path, keeping steady-state ingestion allocation-free
+    /// at any depth.
     scratch: Vec<i64>,
-    /// Floor-estimate engine over `|cell|`. Signed counters move both ways
-    /// (a `-1` row update can *shrink* a magnitude), so neither monotone
-    /// tracking nor a histogram applies. The lazy tournament tree keeps
-    /// record paths O(1) per touched cell (a dirty-bit mark, usually a
-    /// single saturation check) and defers all tree maintenance to the
-    /// next [`CountSketch::min_abs_cell`] read, which repairs only the
-    /// dirty leaves (or rebuilds once when saturated). The published
-    /// sampling floor never reads the tree, so steady-state ingestion
-    /// pays nothing for it.
-    floor: LazyTournamentTracker,
-    /// Debug-build cross-check schedule (see `debug_cross_check`).
-    #[cfg(debug_assertions)]
-    debug_ticks: u64,
 }
 
 impl CountSketch {
@@ -224,10 +202,7 @@ impl CountSketch {
             family,
             total: 0,
             seed,
-            scratch: Vec::with_capacity(depth),
-            floor: LazyTournamentTracker::new(cell_count),
-            #[cfg(debug_assertions)]
-            debug_ticks: 0,
+            scratch: vec![0; depth],
         })
     }
 
@@ -246,37 +221,20 @@ impl CountSketch {
     pub fn record_many(&mut self, id: u64, count: u64) {
         let prepared = self.family.prepare(id);
         let count = count as i64;
-        let Self { ref rows, ref mut cells, ref mut floor, width, .. } = *self;
-        with_family_rows!(rows, r => update_rows(r, cells, floor, width, prepared, count));
+        let Self { ref rows, ref mut cells, width, .. } = *self;
+        with_family_rows!(rows, r => update_rows(r, cells, width, prepared, count));
         self.total = self.total.saturating_add(count as u64);
-        #[cfg(debug_assertions)]
-        self.debug_cross_check();
     }
 
-    /// Records a whole batch of identifiers on the **floor-less** path:
-    /// counters are updated without even the per-update dirty-cell marking
-    /// of [`FrequencyEstimator::record`]; the whole floor engine is
-    /// invalidated once at the end of the batch.
-    ///
-    /// Observable state (counters, total, every future floor read) is
-    /// identical to calling [`FrequencyEstimator::record`] per element;
-    /// what changes is the cost profile. The single
-    /// [`LazyTournamentTracker::mark_all`] costs O(dirty-set) here and
-    /// defers the O(k·s) rebuild to the next [`CountSketch::min_abs_cell`]
-    /// read — batches that never read the diagnostic floor (backlog
-    /// replay, shard workers building chunk sketches, merge preparation)
-    /// never pay for the tree at all. The per-element row updates run
-    /// through the same chunked index-precompute as
+    /// Records a whole batch of identifiers; the counters and total end
+    /// identical to calling [`FrequencyEstimator::record`] per element. The
+    /// hash family is dispatched once per batch, and the per-id preparation
+    /// and row updates run through the same chunked index-precompute as
     /// [`CountSketch::record_and_estimate`].
     pub fn record_unfloored(&mut self, ids: &[u64]) {
-        {
-            let Self { ref rows, ref mut cells, width, .. } = *self;
-            with_family_rows!(rows, r => record_batch_rows(r, cells, width, ids));
-        }
+        let Self { ref rows, ref mut cells, width, .. } = *self;
+        with_family_rows!(rows, r => record_batch_rows(r, cells, width, ids));
         self.total = self.total.saturating_add(ids.len() as u64);
-        self.floor.mark_all();
-        #[cfg(debug_assertions)]
-        self.debug_cross_check();
     }
 
     /// Records one occurrence of `id` and returns `(f̂_id, floor)` in a
@@ -284,73 +242,56 @@ impl CountSketch {
     /// [`crate::CountMinSketch::record_and_estimate`], so the estimator
     /// ablation compares identical per-element query patterns.
     ///
-    /// Equivalent to `record(id)` then `(estimate(id), floor_estimate())`
-    /// (and to the retained scalar reference
-    /// [`CountSketch::record_and_estimate_rowwise`]). The bucket and sign
-    /// indices of each row are computed once — in chunks of `ROW_CHUNK`,
-    /// ahead of the cell writes — and reused for both the update and the
-    /// signed reading; the published floor is the mean row load, an O(1)
-    /// arithmetic read that never touches the diagnostic tournament tree,
-    /// so the engine costs this path only a dirty-cell mark per touched
-    /// cell (a single saturation check in steady state).
+    /// Equivalent to `record(id)` then `(estimate(id), floor_estimate())`.
+    /// The bucket and sign indices of each row are computed once — in
+    /// chunks of `ROW_CHUNK`, ahead of the cell writes — and reused for both
+    /// the update and the signed reading. Up to 16 rows, the median of the
+    /// readings comes from a branch-free sorting network. The published
+    /// floor is the mean row load, an O(1) arithmetic read.
     pub fn record_and_estimate(&mut self, id: u64) -> (u64, u64) {
         let prepared = self.family.prepare(id);
-        self.scratch.clear();
-        {
-            let Self { ref rows, ref mut cells, ref mut floor, ref mut scratch, width, .. } = *self;
-            with_family_rows!(rows, r => {
-                update_rows_estimating(r, cells, floor, scratch, width, prepared)
-            });
-        }
+        let Self { ref rows, ref mut cells, ref mut scratch, width, .. } = *self;
+        with_family_rows!(rows, r => update_rows_estimating(r, cells, scratch, width, prepared));
+        let estimate = clamped_median(scratch);
         self.total = self.total.saturating_add(1);
-        let estimate = Self::median_estimate(&mut self.scratch, self.depth);
-        #[cfg(debug_assertions)]
-        self.debug_cross_check();
         (estimate, self.sampling_floor())
     }
 
     /// The pre-chunking scalar form of
     /// [`CountSketch::record_and_estimate`]: one rolled loop that hashes a
-    /// row and immediately writes its cell. Retained as the reference the
-    /// chunked path is differential-tested (and benchmarked, group
-    /// `sketch_row_updates`) against; behaviourally identical.
-    pub fn record_and_estimate_rowwise(&mut self, id: u64) -> (u64, u64) {
+    /// row and immediately writes its cell. The reference the chunked path
+    /// is differential-tested against.
+    #[cfg(test)]
+    fn record_and_estimate_rowwise(&mut self, id: u64) -> (u64, u64) {
         let prepared = self.family.prepare(id);
-        self.scratch.clear();
+        let mut readings = Vec::with_capacity(self.depth);
         for row in 0..self.depth {
             let (idx, sign) = self.cell_and_sign(row, prepared);
             self.cells[idx] += sign;
-            self.floor.mark(idx);
-            self.scratch.push(sign * self.cells[idx]);
+            readings.push(sign * self.cells[idx]);
         }
         self.total = self.total.saturating_add(1);
-        let estimate = Self::median_estimate(&mut self.scratch, self.depth);
-        #[cfg(debug_assertions)]
-        self.debug_cross_check();
-        (estimate, self.sampling_floor())
+        (clamped_median(&mut readings), self.sampling_floor())
     }
 
     /// The published sampling floor `min_σ`: the **mean row load**
     /// `max(1, ⌊total/k⌋)` (0 while empty).
     ///
-    /// Why not the raw magnitude minimum the tournament engine maintains?
-    /// The adversarial conformance harness exposed that `min |cell|` is
-    /// structurally broken as a `min_σ` analog: signed counters *cancel*,
-    /// so at every sketch width some cell sits near 0 (per row,
-    /// `Σ|cell| ≤ total`, hence `min |cell| ≤ total/k` — and sign noise
-    /// drives the minimum far below that bound, to ~0). Publishing that as
-    /// `min_σ` collapses the knowledge-free sampler's admission
-    /// probability `min_σ/f̂` and freezes its memory — Algorithm 3's
-    /// freshness dies, and the sampler's output measurably stops being
-    /// uniform under *every* workload. The mean row load is the tight,
-    /// cancellation-immune upper bound on that same minimum, and it tracks
-    /// exactly what Count-Min's floor tracks on honest traffic (the
-    /// lightest bucket's load, ≈ `total/k`): under uniform streams
-    /// `min_σ/f̂ ≈ k/n` keeps admissions flowing, and a flooded
-    /// identifier's estimate outgrows it linearly, so suppression is
-    /// preserved. The raw engine-maintained minimum stays available as
-    /// [`CountSketch::min_abs_cell`] for diagnostics and the engine's own
-    /// maintenance-cost benchmarks.
+    /// Why not the raw magnitude minimum `min |cell|`? The adversarial
+    /// conformance harness exposed that it is structurally broken as a
+    /// `min_σ` analog: signed counters *cancel*, so at every sketch width
+    /// some cell sits near 0 (per row, `Σ|cell| ≤ total`, hence
+    /// `min |cell| ≤ total/k` — and sign noise drives the minimum far below
+    /// that bound, to ~0). Publishing that as `min_σ` collapses the
+    /// knowledge-free sampler's admission probability `min_σ/f̂` and
+    /// freezes its memory — Algorithm 3's freshness dies, and the sampler's
+    /// output measurably stops being uniform under *every* workload. The
+    /// mean row load is the tight, cancellation-immune upper bound on that
+    /// same minimum, and it tracks exactly what Count-Min's floor tracks on
+    /// honest traffic (the lightest bucket's load, ≈ `total/k`): under
+    /// uniform streams `min_σ/f̂ ≈ k/n` keeps admissions flowing, and a
+    /// flooded identifier's estimate outgrows it linearly, so suppression
+    /// is preserved.
     fn sampling_floor(&self) -> u64 {
         if self.total == 0 {
             0
@@ -359,57 +300,23 @@ impl CountSketch {
         }
     }
 
-    /// The raw magnitude minimum `min |cell|` over the matrix, read off the
-    /// lazy floor-estimate engine
-    /// ([`crate::min_tracker::LazyTournamentTracker`]): the read first
-    /// repairs the tree's dirty leaves (or rebuilds it wholesale after a
-    /// saturating batch), then answers from the root — record paths only
-    /// mark, so the maintenance cost lands here, amortized over the
-    /// records since the previous read. *Not* the published sampling floor
-    /// (see [`FrequencyEstimator::floor_estimate`] for why); exposed for
-    /// diagnostics and differential tests of the engine, which is why the
-    /// repair (and hence `&mut self`) is acceptable.
-    pub fn min_abs_cell(&mut self) -> u64 {
-        let Self { ref cells, ref mut floor, .. } = *self;
-        floor.floor_synced(|i| cells[i].unsigned_abs())
-    }
-
-    /// Debug-build cross-check of the lazy tournament tree against a naive
-    /// full scan over `|cell|`, run on a sampled schedule.
-    #[cfg(debug_assertions)]
-    fn debug_cross_check(&mut self) {
-        self.debug_ticks += 1;
-        if !self.debug_ticks.is_multiple_of(512) {
-            return;
-        }
-        let naive = self.cells.iter().map(|c| c.unsigned_abs()).min().unwrap_or(0);
-        debug_assert_eq!(self.min_abs_cell(), naive, "floor engine diverged from naive scan");
-    }
-
     /// Returns the signed median estimate for `id`, clamped at zero
-    /// (frequencies are non-negative).
+    /// (frequencies are non-negative). Allocation-free up to 16 rows.
     pub fn point_query(&self, id: u64) -> u64 {
         let prepared = self.family.prepare(id);
-        let mut readings: Vec<i64> = (0..self.depth)
-            .map(|row| {
-                let (idx, sign) = self.cell_and_sign(row, prepared);
-                sign * self.cells[idx]
-            })
-            .collect();
-        Self::median_estimate(&mut readings, self.depth)
-    }
-
-    /// Sorts the per-row signed readings and returns the clamped median.
-    fn median_estimate(readings: &mut [i64], depth: usize) -> u64 {
-        readings.sort_unstable();
-        let mid = depth / 2;
-        let median = if depth % 2 == 1 {
-            readings[mid]
+        let mut stack = [0i64; NETWORK_MAX_DEPTH];
+        let mut heap = Vec::new();
+        let readings = if self.depth <= NETWORK_MAX_DEPTH {
+            &mut stack[..self.depth]
         } else {
-            // Round the midpoint average toward zero.
-            (readings[mid - 1] + readings[mid]) / 2
+            heap.resize(self.depth, 0);
+            &mut heap[..]
         };
-        median.max(0) as u64
+        for (row, reading) in readings.iter_mut().enumerate() {
+            let (idx, sign) = self.cell_and_sign(row, prepared);
+            *reading = sign * self.cells[idx];
+        }
+        clamped_median(readings)
     }
 
     /// Number of buckets per row.
@@ -455,10 +362,8 @@ impl CountSketch {
     /// and the stream length captured by [`FrequencyEstimator::total`].
     ///
     /// The packed bucket/sign hash functions are re-derived from
-    /// `(seed, family)` and the lazy tournament tree starts invalidated, so
-    /// its first read rebuilds from `|cell|` — both pure functions of the
-    /// given state — and the restored sketch is bit-equal going forward to
-    /// the serialized one.
+    /// `(seed, family)`, a pure function of the given state, so the
+    /// restored sketch is bit-equal going forward to the serialized one.
     ///
     /// # Errors
     ///
@@ -522,7 +427,6 @@ impl CountSketch {
             *a += *b;
         }
         self.total = self.total.saturating_add(other.total);
-        self.floor.mark_all();
         Ok(())
     }
 
@@ -530,7 +434,6 @@ impl CountSketch {
     pub fn clear(&mut self) {
         self.cells.fill(0);
         self.total = 0;
-        self.floor.reset();
     }
 }
 
@@ -550,13 +453,12 @@ impl FrequencyEstimator for CountSketch {
     /// Analog of the paper's `min_σ` for signed counters: the mean row
     /// load `max(1, ⌊total/k⌋)` (0 while empty). The Count sketch has no exact
     /// equivalent of Count-Min's touched-counter minimum — sign
-    /// cancellation makes the literal magnitude minimum
-    /// ([`CountSketch::min_abs_cell`]) collapse toward 0 at every width,
-    /// which would silently disable the knowledge-free sampler's
-    /// admissions (caught by the adversarial conformance harness; see
-    /// `sampling_floor` for the full argument). The mean row load is the
-    /// cancellation-immune bound on that minimum and matches the scale of
-    /// Count-Min's floor on honest traffic.
+    /// cancellation makes the literal magnitude minimum `min |cell|`
+    /// collapse toward 0 at every width, which would silently disable the
+    /// knowledge-free sampler's admissions (caught by the adversarial
+    /// conformance harness; see `sampling_floor` for the full argument).
+    /// The mean row load is the cancellation-immune bound on that minimum
+    /// and matches the scale of Count-Min's floor on honest traffic.
     fn floor_estimate(&self) -> u64 {
         self.sampling_floor()
     }
@@ -566,12 +468,7 @@ impl FrequencyEstimator for CountSketch {
     }
 
     fn memory_cells(&self) -> usize {
-        // The counter matrix plus the lazy floor engine's *actual* current
-        // footprint (dirty bitset always; the 2·k·s-word tree only once a
-        // diagnostic read has materialized it) — equal-memory ablations
-        // against Count-Min must see the engine's real overhead, which for
-        // sketches that never read `min_abs_cell` is just the bitset.
-        self.cells.len() + self.floor.memory_cells()
+        self.cells.len()
     }
 }
 
@@ -648,17 +545,20 @@ mod tests {
 
     #[test]
     fn record_and_estimate_equals_record_then_queries() {
-        let mut fused = CountSketch::with_dimensions(16, 5, 23).unwrap();
-        let mut split = fused.clone();
-        let mut rng = StdRng::seed_from_u64(5);
-        for step in 0..3_000 {
-            let id = rng.gen_range(0..80u64);
-            let (est, floor) = fused.record_and_estimate(id);
-            split.record(id);
-            assert_eq!(est, split.estimate(id), "estimate at step {step}");
-            assert_eq!(floor, split.floor_estimate(), "floor at step {step}");
+        // Depth 20 runs the median past the sorting network.
+        for depth in [5usize, 20] {
+            let mut fused = CountSketch::with_dimensions(16, depth, 23).unwrap();
+            let mut split = fused.clone();
+            let mut rng = StdRng::seed_from_u64(5);
+            for step in 0..3_000 {
+                let id = rng.gen_range(0..80u64);
+                let (est, floor) = fused.record_and_estimate(id);
+                split.record(id);
+                assert_eq!(est, split.estimate(id), "depth {depth}, estimate at step {step}");
+                assert_eq!(floor, split.floor_estimate(), "depth {depth}, floor at step {step}");
+            }
+            assert_eq!(fused.total(), split.total());
         }
-        assert_eq!(fused.total(), split.total());
     }
 
     #[test]
@@ -697,7 +597,7 @@ mod tests {
                 assert_eq!(batched.row(row), elementwise.row(row), "row {row}");
             }
         }
-        // Floor queries after an unfloored batch keep working incrementally.
+        // Fused queries after a batch agree too.
         let (est, floor) = batched.record_and_estimate(3);
         let (est2, floor2) = elementwise.record_and_estimate(3);
         assert_eq!((est, floor), (est2, floor2));
@@ -768,12 +668,15 @@ mod tests {
 
     #[test]
     fn even_depth_median_is_supported() {
-        let mut sketch = CountSketch::with_dimensions(64, 4, 12).unwrap();
-        for _ in 0..200 {
-            sketch.record(7);
+        // Even depths on the sorting network (4, 10, 16) and past it (18, 20).
+        for depth in [4usize, 10, 16, 18, 20] {
+            let mut sketch = CountSketch::with_dimensions(64, depth, 12).unwrap();
+            for _ in 0..200 {
+                sketch.record(7);
+            }
+            let est = sketch.estimate(7);
+            assert!((150..=250).contains(&est), "depth {depth}: even-depth estimate {est}");
         }
-        let est = sketch.estimate(7);
-        assert!((150..=250).contains(&est), "even-depth estimate {est} unexpected");
     }
 
     #[test]
@@ -788,7 +691,6 @@ mod tests {
             assert_eq!(a.record_and_estimate(id), b.record_and_estimate(id));
         }
         assert_eq!(a.cells(), b.cells());
-        assert_eq!(a.min_abs_cell(), b.min_abs_cell());
     }
 
     #[test]
@@ -835,7 +737,6 @@ mod tests {
         .unwrap();
         assert_eq!(restored.family(), HashFamilyKind::MultiplyShift);
         assert_eq!(restored.cells(), original.cells());
-        assert_eq!(restored.min_abs_cell(), original.min_abs_cell());
         for id in 0..500u64 {
             assert_eq!(restored.record_and_estimate(id), original.record_and_estimate(id));
         }
@@ -851,51 +752,12 @@ mod tests {
     }
 
     #[test]
-    fn lazy_floor_engine_tracks_naive_scan_under_interleavings() {
-        // Arbitrary interleavings of every record entry point with
-        // diagnostic floor reads: the lazy tree must agree with a naive
-        // |cell| scan at every read, for both hash families.
-        for family in [HashFamilyKind::Mersenne, HashFamilyKind::MultiplyShift] {
-            let mut sketch = CountSketch::with_dimensions_family(16, 5, 3, family).unwrap();
-            let mut rng = StdRng::seed_from_u64(77);
-            for step in 0..2_000 {
-                match rng.gen_range(0..4u8) {
-                    0 => sketch.record(rng.gen_range(0..64u64)),
-                    1 => sketch.record_many(rng.gen_range(0..64u64), rng.gen_range(1..5u64)),
-                    2 => {
-                        let ids: Vec<u64> = (0..rng.gen_range(0..40usize))
-                            .map(|_| rng.gen_range(0..64u64))
-                            .collect();
-                        sketch.record_unfloored(&ids);
-                    }
-                    _ => {
-                        let _ = sketch.record_and_estimate(rng.gen_range(0..64u64));
-                    }
-                }
-                if step % 13 == 0 || rng.gen_bool(0.05) {
-                    let naive = sketch.cells().iter().map(|c| c.unsigned_abs()).min().unwrap_or(0);
-                    assert_eq!(
-                        sketch.min_abs_cell(),
-                        naive,
-                        "family {family:?} diverged at step {step}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memory_cells_reports_the_lazy_footprint() {
+    fn memory_cells_is_the_counter_matrix() {
         let mut sketch = CountSketch::with_dimensions(64, 4, 1).unwrap();
-        let cells = 64usize * 4;
-        let bitset_words = cells.div_ceil(64);
-        // Before any diagnostic read the engine holds only the dirty bitset.
-        assert_eq!(sketch.memory_cells(), cells + bitset_words);
+        assert_eq!(sketch.memory_cells(), 64 * 4);
         sketch.record(9);
-        assert_eq!(sketch.memory_cells(), cells + bitset_words);
-        // The first min_abs_cell read materializes the 2·k·s-word tree.
-        let _ = sketch.min_abs_cell();
-        assert_eq!(sketch.memory_cells(), cells + bitset_words + 2 * cells);
+        let _ = sketch.record_and_estimate(9);
+        assert_eq!(sketch.memory_cells(), 64 * 4);
     }
 
     #[test]

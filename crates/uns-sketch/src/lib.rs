@@ -20,15 +20,14 @@
 //!   provided as an ablation alternative to Count-Min;
 //! * [`exact`] — an exact, full-space frequency oracle backing the paper's
 //!   *omniscient* strategy (Algorithm 1) in its adaptive form;
-//! * [`min_tracker`] — the incremental **floor-estimate engine**: three
-//!   [`FloorTracker`] implementations (monotone, count-of-counts,
-//!   tournament tree) that keep each estimator's `min_σ` current in
-//!   (amortized) O(1) per record instead of rescanning counters per query.
+//! * [`min_tracker`] — the incremental **floor-estimate engine**: two
+//!   [`FloorTracker`] implementations (monotone, count-of-counts) that keep
+//!   Count-Min's and the exact oracle's `min_σ` current in (amortized) O(1)
+//!   per record instead of rescanning counters per query.
 //!
 //! All estimators implement the common [`FrequencyEstimator`] trait so the
 //! sampling strategies in `uns-core` can be instantiated with any of them,
-//! and all of them answer [`FrequencyEstimator::floor_estimate`] through
-//! the engine.
+//! and all of them answer [`FrequencyEstimator::floor_estimate`] in O(1).
 //!
 //! # Example
 //!
@@ -53,6 +52,7 @@ pub mod error;
 pub mod exact;
 pub mod fx;
 pub mod hash;
+mod median;
 pub mod min_tracker;
 
 pub use count_min::{CountMinSketch, UpdatePolicy};
@@ -63,10 +63,7 @@ pub use hash::{
     HashFamily, HashFamilyKind, MultiplyShiftHash, PreparedRowHash, RowHash, UniversalHash,
     MERSENNE_PRIME_61,
 };
-pub use min_tracker::{
-    CountOfCountsTracker, FloorTracker, LazyTournamentTracker, MonotoneFloorTracker,
-    TournamentFloorTracker,
-};
+pub use min_tracker::{CountOfCountsTracker, FloorTracker, MonotoneFloorTracker};
 
 /// A streaming frequency estimator over a stream of 64-bit identifiers.
 ///
@@ -117,14 +114,9 @@ pub trait FrequencyEstimator {
     /// must make this equivalent to `record(id)` followed by
     /// `(estimate(id), floor_estimate())`. The provided method does just
     /// that; the concrete estimators override it to hash each row once
-    /// instead of twice **and** to read the floor straight off the
-    /// floor-estimate engine ([`min_tracker`]), so the returned `min_σ`
-    /// costs O(1) rather than a counter scan. Implementations also feed
-    /// the engine during plain [`record`]s — the fused path and the split
-    /// path always agree, bit for bit (cross-checked against a naive scan
-    /// in debug builds).
-    ///
-    /// [`record`]: FrequencyEstimator::record
+    /// instead of twice, and the returned `min_σ` costs O(1) rather than a
+    /// counter scan (see [`FrequencyEstimator::floor_estimate`]). The fused
+    /// path and the split path always agree, bit for bit.
     fn record_and_estimate(&mut self, id: u64) -> (u64, u64) {
         self.record(id);
         (self.estimate(id), self.floor_estimate())
@@ -147,12 +139,11 @@ pub trait FrequencyEstimator {
     /// * [`ExactFrequencyOracle`] — minimum count over the identifiers seen
     ///   so far, via [`CountOfCountsTracker`];
     /// * [`CountSketch`] — the **mean row load** `max(1, ⌊total/k⌋)`.
-    ///   Signed-counter caveat: the literal magnitude minimum (still
-    ///   maintained by [`TournamentFloorTracker`] and readable as
-    ///   [`CountSketch::min_abs_cell`]) collapses toward 0 through sign
-    ///   cancellation at every width, which would zero the knowledge-free
-    ///   sampler's admission probability and freeze its memory — the
-    ///   adversarial conformance harness measures exactly this failure.
+    ///   Signed-counter caveat: the literal magnitude minimum `min |cell|`
+    ///   collapses toward 0 through sign cancellation at every width,
+    ///   which would zero the knowledge-free sampler's admission
+    ///   probability and freeze its memory — the adversarial conformance
+    ///   harness measures exactly this failure.
     ///   The mean row load is the cancellation-immune bound on that
     ///   minimum (`min |cell| ≤ Σ|cell|/k ≤ total/k` per row) and matches
     ///   the scale of Count-Min's floor on honest traffic.

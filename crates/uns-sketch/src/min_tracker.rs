@@ -3,11 +3,11 @@
 //! The knowledge-free sampling strategy queries the global minimum counter
 //! `min_σ` once per stream element (Algorithm 3, line 6). Recomputing that
 //! minimum with a full scan on every element would dominate the per-element
-//! cost — `O(k·s)` for the sketches, `O(distinct)` for the exact oracle —
-//! so every estimator in this crate maintains its floor *incrementally*
-//! through one of the trackers in this module. The common query surface is
-//! the [`FloorTracker`] trait; the update surface is deliberately
-//! per-tracker, because the three counter populations move differently:
+//! cost — `O(k·s)` for Count-Min, `O(distinct)` for the exact oracle — so
+//! those estimators maintain their floor *incrementally* through one of the
+//! trackers in this module. The common query surface is the
+//! [`FloorTracker`] trait; the update surface is deliberately per-tracker,
+//! because the two counter populations move differently:
 //!
 //! * [`MonotoneFloorTracker`] — counters only grow (Count-Min cells).
 //!   Tracks `(value, multiplicity)` of the minimum over the *non-zero*
@@ -18,33 +18,24 @@
 //!   (`count → how many ids hold it`), making both "a brand-new rare id
 //!   arrives" and "the rarest id got rarer-than-everyone-else" O(1) for
 //!   unit increments — the operation that used to cost `O(distinct)`.
-//! * [`TournamentFloorTracker`] — signed counters that move both ways
-//!   (Count-sketch cells). A tournament (segment) tree over `|cell|` gives
-//!   `O(log(k·s))` per touched cell and an O(1) floor read, replacing the
-//!   O(k·s) full scan per query.
-//! * [`LazyTournamentTracker`] — the same tree, but **invalidation-based**:
-//!   per-record updates only mark cells dirty in O(1), and the tree is
-//!   repaired (dirty paths) or rebuilt (once enough cells are dirty that a
-//!   rebuild is cheaper) on the next floor read. This is what
-//!   [`crate::CountSketch`] runs since its published floor stopped reading
-//!   the tree (PR 5): the per-record `O(log(k·s))` maintenance moved off
-//!   the hot path entirely, and its cost is paid only at the (rare)
-//!   diagnostic `min_abs_cell` reads, amortized over the records between
-//!   them. The eager tracker is kept as the differential reference.
+//!
+//! The Count sketch needs no tracker: its published floor is the mean row
+//! load `max(1, ⌊total/k⌋)`, an O(1) arithmetic read (see
+//! [`crate::CountSketch`] for why the magnitude minimum is not used).
 //!
 //! Estimators cross-check the engine against a naive full scan on a
 //! sampled schedule in debug builds (see `record` paths in
-//! [`crate::CountMinSketch`], [`crate::CountSketch`] and
-//! [`crate::ExactFrequencyOracle`]), so any divergence trips long before a
-//! release measurement would silently drift.
+//! [`crate::CountMinSketch`] and [`crate::ExactFrequencyOracle`]), so any
+//! divergence trips long before a release measurement would silently
+//! drift.
 
 /// Common query surface of the incremental floor-estimate engine.
 ///
 /// A floor tracker answers, in O(1), "what is the smallest value any
 /// tracked counter currently holds?" — the quantity the paper's Algorithm 3
 /// reads as `min_σ` on every stream element. Update entry points are
-/// tracker-specific (monotone increase, count transition, indexed signed
-/// update) because each counter population moves differently; see the
+/// tracker-specific (monotone increase, count transition) because each
+/// counter population moves differently; see the
 /// module docs for which estimator pairs with which tracker.
 pub trait FloorTracker {
     /// The current floor — 0 when nothing is tracked yet.
@@ -300,299 +291,6 @@ impl FloorTracker for CountOfCountsTracker {
     }
 }
 
-/// Floor over signed counters that move both ways, via a tournament tree
-/// over `|cell|`.
-///
-/// This is the Count-sketch case: every row update adds `±1`, so a cell's
-/// magnitude can *shrink* and neither monotone tracking nor a histogram
-/// applies. A complete binary tournament (segment) tree over the cell
-/// magnitudes gives `O(log cells)` per touched cell — with an early exit
-/// once an ancestor's minimum is unaffected — and an O(1) floor read at
-/// the root, replacing the O(k·s) full scan per query.
-///
-/// # Example
-///
-/// ```
-/// use uns_sketch::min_tracker::{FloorTracker, TournamentFloorTracker};
-///
-/// let mut tracker = TournamentFloorTracker::new(4);
-/// tracker.update(0, 3);
-/// tracker.update(1, 7);
-/// assert_eq!(tracker.floor(), 0); // cells 2 and 3 still at 0
-/// tracker.update(2, 5);
-/// tracker.update(3, 2);
-/// assert_eq!(tracker.floor(), 2);
-/// tracker.update(3, 9);
-/// assert_eq!(tracker.floor(), 3);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TournamentFloorTracker {
-    /// Implicit binary tree: leaves at `cells..2·cells`, internal node `i`
-    /// holds `min(tree[2i], tree[2i+1])`, root at 1.
-    tree: Vec<u64>,
-    cells: usize,
-}
-
-impl TournamentFloorTracker {
-    /// Creates a tracker over `cells` counters, all initially zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells == 0` (a sketch always has at least one cell).
-    pub fn new(cells: usize) -> Self {
-        assert!(cells > 0, "tournament tracker needs at least one cell");
-        Self { tree: vec![0; 2 * cells], cells }
-    }
-
-    /// Sets the magnitude of cell `index` to `value` and repairs the path
-    /// to the root, stopping early once an ancestor is unchanged.
-    pub fn update(&mut self, index: usize, value: u64) {
-        debug_assert!(index < self.cells, "cell {index} out of range ({} cells)", self.cells);
-        let mut i = index + self.cells;
-        if self.tree[i] == value {
-            return;
-        }
-        self.tree[i] = value;
-        while i > 1 {
-            i /= 2;
-            let refreshed = self.tree[2 * i].min(self.tree[2 * i + 1]);
-            if self.tree[i] == refreshed {
-                break;
-            }
-            self.tree[i] = refreshed;
-        }
-    }
-
-    /// Number of 64-bit words the tree itself occupies (`2 × cells`) — the
-    /// tracker's contribution to its owner's
-    /// [`FrequencyEstimator::memory_cells`](crate::FrequencyEstimator::memory_cells).
-    pub fn memory_cells(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Rebuilds the whole tree from a magnitude iterator (after a merge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` yields fewer magnitudes than the tracked cell
-    /// count (the tree would be left inconsistent).
-    pub fn rebuild<I: IntoIterator<Item = u64>>(&mut self, values: I) {
-        let mut filled = 0usize;
-        for (leaf, value) in self.tree[self.cells..].iter_mut().zip(values) {
-            *leaf = value;
-            filled += 1;
-        }
-        assert_eq!(filled, self.cells, "rebuild must cover every cell");
-        for i in (1..self.cells).rev() {
-            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
-        }
-    }
-}
-
-impl FloorTracker for TournamentFloorTracker {
-    fn floor(&self) -> u64 {
-        // For a single cell the leaf *is* the root (index 1); otherwise the
-        // internal root at index 1 holds the min over all leaves.
-        self.tree[1]
-    }
-
-    fn tracked(&self) -> usize {
-        self.cells
-    }
-
-    fn reset(&mut self) {
-        self.tree.fill(0);
-    }
-}
-
-/// The invalidation-based variant of [`TournamentFloorTracker`]: O(1) dirty
-/// marks per record, tree maintenance deferred to the next floor read.
-///
-/// The eager tree pays `O(log cells)` on **every** touched cell, even
-/// though its answer is only consumed at the next floor read — for the
-/// Count sketch, whose published floor is the mean row load, that read is a
-/// rare diagnostic ([`crate::CountSketch::min_abs_cell`]). This tracker
-/// inverts the cost: recording marks the cell in a bitset and a dirty list
-/// (O(1), no tree walk); a floor read first *syncs* — repairing only the
-/// dirty leaves' root paths, or rebuilding the whole tree once the dirty
-/// set is large enough that a rebuild is cheaper (`dirty · log cells ≳
-/// 2 · cells`, at which point the list is dropped and the tracker
-/// saturates). Bulk operations (merge, restore, clear-to-nonzero) saturate
-/// directly. The tree itself is not allocated until the first sync, so a
-/// sketch whose floor is never read pays no tree memory at all (its
-/// [`LazyTournamentTracker::memory_cells`] reports the words actually
-/// held).
-///
-/// The tracker deliberately does **not** implement [`FloorTracker`]: its
-/// floor read must sync, hence takes `&mut self` and the owner's current
-/// cell magnitudes. Equivalence with the eager tree under arbitrary
-/// interleavings is property-tested in [`crate::count_sketch`].
-///
-/// # Example
-///
-/// ```
-/// use uns_sketch::min_tracker::LazyTournamentTracker;
-///
-/// let values = [3u64, 7, 5, 2];
-/// let mut tracker = LazyTournamentTracker::new(4);
-/// for i in 0..4 {
-///     tracker.mark(i); // O(1): no tree walk per record
-/// }
-/// assert_eq!(tracker.floor_synced(|i| values[i]), 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct LazyTournamentTracker {
-    /// Implicit binary tree as in [`TournamentFloorTracker`]; empty until
-    /// the first sync.
-    tree: Vec<u64>,
-    /// One bit per cell: marked dirty since the last sync. Meaningful only
-    /// while not saturated.
-    dirty_words: Vec<u64>,
-    /// The marked cells, unique (deduplicated through `dirty_words`).
-    dirty: Vec<u32>,
-    /// Dirty bookkeeping abandoned: the next sync rebuilds the whole tree.
-    saturated: bool,
-    cells: usize,
-    /// Dirty-list length at which path repair stops being cheaper than a
-    /// full rebuild (`repair ≈ dirty · log₂ cells` vs `rebuild ≈ 2 · cells`).
-    repair_budget: usize,
-}
-
-impl LazyTournamentTracker {
-    /// Creates a tracker over `cells` counters, all initially zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells == 0` (a sketch always has at least one cell) or if
-    /// `cells` exceeds `u32::MAX` (the dirty list stores 32-bit indices).
-    pub fn new(cells: usize) -> Self {
-        assert!(cells > 0, "tournament tracker needs at least one cell");
-        assert!(u32::try_from(cells).is_ok(), "tournament tracker caps at 2^32 cells");
-        let log2 = usize::BITS as usize - cells.leading_zeros() as usize;
-        Self {
-            tree: Vec::new(),
-            dirty_words: vec![0; cells.div_ceil(64)],
-            dirty: Vec::new(),
-            // Starts saturated: the unallocated tree is "all stale", and the
-            // first sync builds it from scratch.
-            saturated: true,
-            cells,
-            repair_budget: (2 * cells / log2.max(1)).max(16),
-        }
-    }
-
-    /// Marks cell `index` as changed since the last sync. O(1); never
-    /// touches the tree.
-    #[inline]
-    pub fn mark(&mut self, index: usize) {
-        debug_assert!(index < self.cells, "cell {index} out of range ({} cells)", self.cells);
-        if self.saturated {
-            return;
-        }
-        let word = index / 64;
-        let bit = 1u64 << (index % 64);
-        if self.dirty_words[word] & bit != 0 {
-            return;
-        }
-        if self.dirty.len() >= self.repair_budget {
-            self.mark_all();
-            return;
-        }
-        self.dirty_words[word] |= bit;
-        self.dirty.push(index as u32);
-    }
-
-    /// Marks every cell stale (merge, restore, bulk mutation): drops the
-    /// dirty bookkeeping and schedules a full rebuild for the next sync.
-    pub fn mark_all(&mut self) {
-        self.saturated = true;
-        self.dirty.clear();
-        self.dirty_words.fill(0);
-    }
-
-    /// Brings the tree up to date against the owner's current magnitudes
-    /// and returns the floor (the minimum magnitude over all cells). Costs
-    /// `O(dirty · log cells)`, or `O(cells)` when saturated; O(1) when
-    /// nothing changed since the last read.
-    pub fn floor_synced(&mut self, value_at: impl Fn(usize) -> u64) -> u64 {
-        self.sync(value_at);
-        self.tree[1]
-    }
-
-    /// The sync half of [`LazyTournamentTracker::floor_synced`].
-    fn sync(&mut self, value_at: impl Fn(usize) -> u64) {
-        if self.saturated {
-            self.tree.resize(2 * self.cells, 0);
-            for i in 0..self.cells {
-                self.tree[self.cells + i] = value_at(i);
-            }
-            for i in (1..self.cells).rev() {
-                self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
-            }
-            self.saturated = false;
-            return;
-        }
-        for k in 0..self.dirty.len() {
-            let index = self.dirty[k] as usize;
-            self.dirty_words[index / 64] &= !(1u64 << (index % 64));
-            let value = value_at(index);
-            let mut i = index + self.cells;
-            if self.tree[i] == value {
-                continue;
-            }
-            self.tree[i] = value;
-            while i > 1 {
-                i /= 2;
-                let refreshed = self.tree[2 * i].min(self.tree[2 * i + 1]);
-                if self.tree[i] == refreshed {
-                    break;
-                }
-                self.tree[i] = refreshed;
-            }
-        }
-        self.dirty.clear();
-    }
-
-    /// Number of counters whose minimum is being tracked.
-    pub fn tracked(&self) -> usize {
-        self.cells
-    }
-
-    /// `true` when the next sync will rebuild the whole tree instead of
-    /// repairing dirty paths.
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
-    }
-
-    /// Cells currently marked dirty (0 when saturated — the list was
-    /// dropped).
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Number of 64-bit words the tracker actually holds: the tree (0 until
-    /// the first floor read) plus the dirty bitset. This is the honest
-    /// footprint equal-memory ablations charge the owner with — *not* the
-    /// eager tracker's unconditional `2 × cells`.
-    pub fn memory_cells(&self) -> usize {
-        self.tree.len() + self.dirty_words.len()
-    }
-
-    /// Returns the tracker to its freshly-constructed state over all-zero
-    /// counters. An already-allocated tree is kept (zeroed and consistent),
-    /// so a cleared sketch does not re-pay the first-sync build.
-    pub fn reset(&mut self) {
-        self.dirty.clear();
-        self.dirty_words.fill(0);
-        if self.tree.is_empty() {
-            self.saturated = true;
-        } else {
-            self.tree.fill(0);
-            self.saturated = false;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,110 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn tournament_agrees_with_naive_under_signed_workload() {
-        let mut rng = StdRng::seed_from_u64(29);
-        for cells in [1usize, 2, 3, 7, 16, 33] {
-            let mut values = vec![0i64; cells];
-            let mut t = TournamentFloorTracker::new(cells);
-            assert_eq!(t.tracked(), cells);
-            for _ in 0..2_000 {
-                let i = rng.gen_range(0..cells);
-                values[i] += if rng.gen::<bool>() { 1 } else { -1 };
-                t.update(i, values[i].unsigned_abs());
-                let naive = values.iter().map(|v| v.unsigned_abs()).min().unwrap();
-                assert_eq!(t.floor(), naive, "{cells} cells");
-            }
-            t.reset();
-            assert_eq!(t.floor(), 0);
-            t.rebuild(values.iter().map(|v| v.unsigned_abs()));
-            let naive = values.iter().map(|v| v.unsigned_abs()).min().unwrap();
-            assert_eq!(t.floor(), naive);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cell")]
-    fn tournament_rejects_zero_cells() {
-        let _ = TournamentFloorTracker::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every cell")]
-    fn tournament_rebuild_rejects_short_input() {
-        let mut t = TournamentFloorTracker::new(4);
-        t.rebuild([1u64, 2]);
-    }
-
-    #[test]
-    fn lazy_tournament_agrees_with_eager_under_signed_workload() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for cells in [1usize, 2, 3, 7, 16, 33, 257] {
-            let mut values = vec![0i64; cells];
-            let mut eager = TournamentFloorTracker::new(cells);
-            let mut lazy = LazyTournamentTracker::new(cells);
-            assert_eq!(lazy.tracked(), cells);
-            assert!(lazy.is_saturated(), "starts with an unallocated (stale) tree");
-            assert_eq!(lazy.floor_synced(|i| values[i].unsigned_abs()), 0);
-            for step in 0..3_000 {
-                let i = rng.gen_range(0..cells);
-                values[i] += if rng.gen::<bool>() { 1 } else { -1 };
-                eager.update(i, values[i].unsigned_abs());
-                lazy.mark(i);
-                // Read at an irregular cadence so dirty sets of every size
-                // (including saturation on the small trees) are exercised.
-                if step % 7 == 0 || rng.gen_bool(0.05) {
-                    assert_eq!(
-                        lazy.floor_synced(|i| values[i].unsigned_abs()),
-                        eager.floor(),
-                        "{cells} cells, step {step}"
-                    );
-                    assert_eq!(lazy.dirty_count(), 0);
-                }
-            }
-            assert_eq!(lazy.floor_synced(|i| values[i].unsigned_abs()), eager.floor());
-            lazy.mark_all();
-            assert!(lazy.is_saturated());
-            assert_eq!(lazy.floor_synced(|i| values[i].unsigned_abs()), eager.floor());
-            lazy.reset();
-            eager.reset();
-            assert_eq!(lazy.floor_synced(|_| 0), 0);
-            assert_eq!(eager.floor(), 0);
-        }
-    }
-
-    #[test]
-    fn lazy_tournament_saturates_instead_of_growing_the_dirty_list() {
-        let cells = 4096usize;
-        let mut lazy = LazyTournamentTracker::new(cells);
-        let _ = lazy.floor_synced(|_| 0); // allocate + clean
-        for i in 0..cells {
-            lazy.mark(i);
-            lazy.mark(i); // re-marking is deduplicated, not re-counted
-        }
-        assert!(lazy.is_saturated(), "marking every cell must trip the rebuild threshold");
-        assert_eq!(lazy.dirty_count(), 0);
-        assert_eq!(lazy.floor_synced(|i| (i + 1) as u64), 1);
-    }
-
-    #[test]
-    fn lazy_tournament_reports_actual_footprint() {
-        let cells = 1000usize;
-        let mut lazy = LazyTournamentTracker::new(cells);
-        // Before any floor read: only the dirty bitset is held.
-        assert_eq!(lazy.memory_cells(), cells.div_ceil(64));
-        let _ = lazy.floor_synced(|_| 0);
-        assert_eq!(lazy.memory_cells(), 2 * cells + cells.div_ceil(64));
-        // The eager tree charges 2 × cells unconditionally.
-        assert_eq!(TournamentFloorTracker::new(cells).memory_cells(), 2 * cells);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cell")]
-    fn lazy_tournament_rejects_zero_cells() {
-        let _ = LazyTournamentTracker::new(0);
-    }
-
-    #[test]
     fn trackers_are_usable_through_the_trait() {
         fn floor_of(t: &dyn FloorTracker) -> u64 {
             t.floor()
@@ -812,10 +406,7 @@ mod tests {
         let _ = m.on_increase(0, 4);
         let mut c = CountOfCountsTracker::default();
         c.on_transition(0, 4);
-        let mut t = TournamentFloorTracker::new(1);
-        t.update(0, 4);
         assert_eq!(floor_of(&m), 4);
         assert_eq!(floor_of(&c), 4);
-        assert_eq!(floor_of(&t), 4);
     }
 }

@@ -40,9 +40,7 @@ fn count_min_naive_floor(sketch: &CountMinSketch) -> u64 {
 }
 
 /// The Count sketch's published floor: the cancellation-immune mean row
-/// load (`max(1, ⌊total/k⌋)`, 0 while empty) — see the `CountSketch` docs; the raw
-/// magnitude minimum is checked separately against
-/// `CountSketch::min_abs_cell`.
+/// load (`max(1, ⌊total/k⌋)`, 0 while empty) — see the `CountSketch` docs.
 fn count_sketch_naive_floor(sketch: &CountSketch) -> u64 {
     if sketch.total() == 0 {
         0
@@ -51,6 +49,7 @@ fn count_sketch_naive_floor(sketch: &CountSketch) -> u64 {
     }
 }
 
+/// The raw magnitude minimum `min |cell|`, which the published floor bounds.
 fn count_sketch_naive_min_abs_cell(sketch: &CountSketch) -> u64 {
     (0..sketch.depth())
         .flat_map(|r| sketch.row(r).iter().map(|c| c.unsigned_abs()))
@@ -86,9 +85,9 @@ proptest! {
         }
     }
 
-    /// Count sketch: the published floor ≡ the mean-row-load reference,
-    /// and the engine's raw magnitude minimum ≡ a naive |cell| scan under
-    /// sybil injection — sign cancellations included.
+    /// Count sketch: the published floor ≡ the mean-row-load reference
+    /// under sybil injection, and it bounds the raw magnitude minimum —
+    /// sign cancellations included.
     #[test]
     fn count_sketch_floor_survives_sybil_injection(
         distinct in 1usize..40,
@@ -101,10 +100,9 @@ proptest! {
         for &id in &stream {
             let (_, floor) = sketch.record_and_estimate(id);
             prop_assert_eq!(floor, count_sketch_naive_floor(&sketch));
-            prop_assert_eq!(sketch.min_abs_cell(), count_sketch_naive_min_abs_cell(&sketch));
             // The published floor dominates the raw minimum (per row,
             // min |cell| <= Σ|cell|/k <= total/k).
-            prop_assert!(sketch.min_abs_cell() <= floor);
+            prop_assert!(count_sketch_naive_min_abs_cell(&sketch) <= floor);
         }
     }
 
