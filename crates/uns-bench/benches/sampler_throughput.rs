@@ -236,22 +236,6 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
             },
         );
     }
-    // The retained two-pass (re-hashing candidate pass) reference, for the
-    // delta-log-vs-two-pass comparison at matching shard counts.
-    for shards in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("pipeline_ingest_two_pass", shards),
-            &shards,
-            |b, &shards| {
-                let ingestion = ShardedIngestion::new(10, 5, 42, shards).unwrap();
-                b.iter(|| {
-                    let (mut sampler, stats) =
-                        ingestion.pipeline_ingest_two_pass(&ids, 10, 7).unwrap();
-                    black_box((sampler.sample(), stats.admitted))
-                })
-            },
-        );
-    }
     group.finish();
 }
 

@@ -47,6 +47,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use uns_service::error::ServiceError;
 use uns_service::fault::FaultPlan;
+use uns_service::reactor::ReactorConfig;
 use uns_service::server::{
     DurabilityConfig, ReplicaHandler, ReplicationSink, Server, ServerConfig,
 };
@@ -199,7 +200,7 @@ impl MeshNode {
         let serve_server = Arc::clone(&server);
         let serve_thread = std::thread::Builder::new()
             .name(format!("uns-mesh-{name}"))
-            .spawn(move || serve_server.serve(listener))
+            .spawn(move || serve_server.serve_reactor(listener, ReactorConfig::default()))
             .expect("spawning the mesh serve thread");
         Ok(Arc::new(Self {
             name: name.to_string(),

@@ -176,7 +176,7 @@ impl<T: Transport> ServiceClient<T> {
 
     /// Scrapes the server's full Prometheus text exposition over the wire
     /// protocol (the same text `GET /metrics` serves). Server-wide, not
-    /// per-stream; answered on the connection thread without touching any
+    /// per-stream; answered by the connection itself without touching any
     /// worker queue, so it can never see `Busy`.
     ///
     /// # Errors

@@ -11,11 +11,11 @@
 //! deployment can talk to.
 //!
 //! Std-only by design: the build containers have no registry access, so
-//! networking is thread-per-connection over [`std::net::TcpStream`], with
-//! an in-process pipe [`transport`] for tests and benchmarks — plus a
-//! readiness-based [`reactor`] (one thread, a vendored `epoll` poller)
-//! for fleets of mostly-idle connections that would be wasteful as
-//! threads.
+//! networking is a readiness-based [`reactor`] (one thread, a vendored
+//! `epoll` poller) over [`std::net::TcpStream`], with an in-process pipe
+//! [`transport`] for tests and benchmarks. Both run the same sans-IO
+//! connection core, so framing, reply order and admission do not depend
+//! on the transport.
 //!
 //! # Pieces
 //!
@@ -84,6 +84,7 @@
 //! ```
 
 pub mod client;
+mod conn;
 pub mod error;
 pub mod fault;
 pub mod http;

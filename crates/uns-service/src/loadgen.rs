@@ -188,37 +188,6 @@ impl LoadgenReport {
         }
         self.elements as f64 / self.elapsed.as_secs_f64() / 1e6
     }
-
-    /// Publishes the run's counters into `registry` as `uns_loadgen_*`
-    /// series labeled `stream="<stream>"`, so a driver can render client-
-    /// side and server-side views in one exposition and diff them.
-    pub fn export_into(&self, registry: &uns_metrics::MetricsRegistry, stream: &str) {
-        let labels = &[("stream", stream)];
-        for (name, help, value) in [
-            (
-                "uns_loadgen_elements_total",
-                "Elements the service absorbed during the run.",
-                self.elements,
-            ),
-            (
-                "uns_loadgen_busy_retries_total",
-                "Requests that bounced with Busy and were retried.",
-                self.busy_retries,
-            ),
-            (
-                "uns_loadgen_abandoned_batches_total",
-                "Batches abandoned after exhausting the retry budget.",
-                self.abandoned_batches,
-            ),
-            (
-                "uns_loadgen_abandoned_elements_total",
-                "Elements the abandoned batches would have carried.",
-                self.abandoned_elements,
-            ),
-        ] {
-            registry.counter(name, help, labels).set(value);
-        }
-    }
 }
 
 /// Drives `stream_name` on a server through `connections` concurrent

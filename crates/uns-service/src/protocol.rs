@@ -205,7 +205,7 @@ pub enum Request<'a> {
         name: &'a str,
     },
     /// Read the server-wide metrics exposition text (no target stream;
-    /// answered on the connection thread, never enqueued to a worker).
+    /// answered by the connection itself, never enqueued to a worker).
     /// A trailing opcode addition: old clients never send it, old servers
     /// answer it with an unknown-opcode error.
     Metrics,
@@ -449,7 +449,7 @@ pub struct StreamStats {
 }
 
 /// Replication counters of one stream, folded into [`StreamStats`] by the
-/// primary's connection thread from the same registered atomics the
+/// primary's connection from the same registered atomics the
 /// `/metrics` exposition renders — the Stats↔exposition agreement is
 /// structural, not a mirror.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -598,6 +598,13 @@ impl Response {
     /// Encodes the response as a frame body into `out` (cleared first).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
+        self.encode_into(out);
+    }
+
+    /// Appends the response's frame body to `out`, leaving what `out`
+    /// already holds in place (the connection core encodes replies
+    /// straight behind the frames still waiting for the socket).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(PROTOCOL_VERSION);
         match self {
             Response::Ok => out.push(RESP_OK),

@@ -1,64 +1,36 @@
 //! Readiness-based connection layer: one reactor thread, ten thousand
 //! sockets.
 //!
-//! The thread-per-connection path ([`crate::server::Server::serve`]) is
-//! simple and fast for tens of busy connections, but a sampling service
-//! sitting inside every node of a large overlay sees the opposite shape:
+//! A sampling service sitting inside every node of a large overlay sees
 //! thousands of mostly-idle peers, each sending a small batch every few
 //! seconds. Ten thousand parked threads at ~8 MiB of stack reservation
-//! apiece is the wrong tool. The reactor replaces them with **one**
-//! thread that owns the listener and every connection socket through the
-//! vendored [`epoll`] poller, reassembles frames into per-connection
-//! buffers without blocking, and hands complete requests to the *same*
-//! worker pool through the same bounded queues.
+//! apiece is the wrong tool. The reactor serves them from **one** thread
+//! that owns the listener and every connection socket through the
+//! vendored [`epoll`] poller. It drives each socket's bytes through the
+//! sans-IO connection core (`conn.rs`) — the same state machine
+//! in-process pipes run — and hands complete requests to the worker pool
+//! through the bounded queues, collecting replies from a completion queue.
+//! Nothing it runs waits on a worker or a disk: creation and restore are
+//! worker jobs like any other, replica shipments are jobs on the replica
+//! applier, and only the CPU-only `Metrics` render is answered on the
+//! reactor thread.
 //!
-//! What deliberately does not change:
-//!
-//! * **Routing** — requests go through the identical `route_prepare`
-//!   rules the blocking path uses, so every reply is bit-identical to
-//!   one served thread-per-connection.
-//! * **Stream ownership** — one worker owns each stream; the reactor is
-//!   only a different front door to the same queues, so the snapshot
-//!   bit-equality and position-reconstruction exactness pins survive
-//!   untouched.
-//! * **Backpressure** — full worker queues still answer `Busy`
-//!   immediately; nothing is buffered on the server's initiative.
-//!
-//! Per-connection discipline: **at most one worker-bound request is in
-//! flight per connection**, and parsing pauses while it is. This
-//! preserves the blocking path's reply ordering per connection (replies
-//! return in request order, because there is never more than one
-//! outstanding) and makes a pipelining flood self-clocking instead of
-//! queue-filling. Admission control on top of that is explicit:
+//! What the reactor adds on top of the connection core:
 //!
 //! * a **connection cap** — accepts beyond [`ReactorConfig::max_connections`]
 //!   are answered with a `Busy` frame and closed;
-//! * a **per-connection token bucket** ([`RateLimit`]) — requests beyond
-//!   the budget are answered with [`ErrorCode::RateLimited`] without
-//!   touching a worker, so one abusive connection degrades only itself;
-//! * a **buffered-bytes ceiling** — a peer that stops reading replies has
-//!   its requests paused (reads deregistered) once
-//!   [`ReactorConfig::max_buffered_bytes`] of replies are pending, never
-//!   buffered without bound.
-//!
-//! Per-connection memory (reassembly buffer + pending writes) is
-//! accounted into the `uns_reactor_buffered_bytes` gauge, alongside
-//! connection counts and rejection counters (see [`crate::metrics`]).
-//!
-//! Blocking exceptions, by design: `CreateStream`/`Restore` run their
-//! existing two-phase reservation round-trip synchronously on the reactor
-//! thread (streams are created once and the rollback correctness leans on
-//! the synchronous protocol), and `Replicate` shipments apply through the
-//! replica handler inline (mesh replication links are few and use the
-//! blocking server anyway).
+//! * the per-connection **token bucket** ([`RateLimit`]) and
+//!   **buffered-bytes ceiling** ([`ReactorConfig::max_buffered_bytes`]),
+//!   enforced by the core, with reads deregistered while a connection is
+//!   paused;
+//! * **accounting** — per-connection buffer memory in the
+//!   `uns_reactor_buffered_bytes` gauge, alongside connection counts and
+//!   rejection counters (see [`crate::metrics`]).
 
+use crate::conn::{Conn, Limiter};
 use crate::metrics::ReactorMetrics;
-use crate::protocol::{ErrorCode, Request, Response};
-use crate::server::{
-    blocking_route, encode_bounded, route_prepare, try_enqueue, ReplyTo, Routed, Server,
-    StreamEntry,
-};
-use crate::wire::MAX_FRAME_LEN;
+use crate::protocol::Response;
+use crate::server::{Dispatch, ReplyTo, Router, Server};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -69,7 +41,7 @@ use std::time::{Duration, Instant};
 /// Per-connection admission rate limit: a token bucket refilled at
 /// [`RateLimit::per_sec`] with capacity [`RateLimit::burst`]. Each parsed
 /// request spends one token; an empty bucket answers
-/// [`ErrorCode::RateLimited`] without involving a worker.
+/// [`crate::protocol::ErrorCode::RateLimited`] without involving a worker.
 #[derive(Clone, Copy, Debug)]
 pub struct RateLimit {
     /// Sustained requests per second each connection may submit.
@@ -103,18 +75,45 @@ impl Default for ReactorConfig {
 /// reply into the queue, wake the reactor. Never blocks.
 pub(crate) struct CompletionSender {
     conn: u64,
-    completions: CompletionQueue,
-    waker: Arc<epoll::Waker>,
+    completions: Arc<Completions>,
 }
 
 impl CompletionSender {
     pub(crate) fn send(self, response: Response) {
-        self.completions.lock().expect("completion queue poisoned").push((self.conn, response));
-        self.waker.wake();
+        let queue = &self.completions.queue;
+        queue.lock().expect("completion queue poisoned").push((self.conn, response));
+        self.completions.waker.wake();
     }
 }
 
-type CompletionQueue = Arc<Mutex<Vec<(u64, Response)>>>;
+/// Worker replies waiting for the reactor thread, plus the waker that
+/// interrupts its poller wait.
+struct Completions {
+    queue: Mutex<Vec<(u64, Response)>>,
+    waker: Arc<epoll::Waker>,
+}
+
+/// What a settle pass needs besides the connection: routing, replies, and
+/// the tick's clock reading.
+struct Ctx<'a> {
+    router: &'a Router,
+    completions: &'a Arc<Completions>,
+    now: Instant,
+}
+
+impl Ctx<'_> {
+    /// Submits `next` — and whatever a bounce lets the connection parse
+    /// next — to the workers; a bounced dispatch is answered on the spot.
+    fn submit(&self, conn: &mut Conn, token: u64, mut next: Option<Dispatch>) {
+        while let Some(dispatch) = next {
+            let reply = CompletionSender { conn: token, completions: Arc::clone(self.completions) };
+            next = match self.router.submit(dispatch, ReplyTo::Reactor(reply)) {
+                None => None,
+                Some(bounce) => conn.complete(bounce, self.router, self.now),
+            };
+        }
+    }
+}
 
 /// Poller token of the listener.
 const LISTENER: u64 = 0;
@@ -122,15 +121,6 @@ const LISTENER: u64 = 0;
 const WAKER: u64 = 1;
 /// First connection token.
 const FIRST_CONN: u64 = 2;
-
-/// How many unparsed request bytes a connection may buffer before its
-/// reads are paused. The cap is unconditional — with or without a
-/// request in flight, a flood larger than this waits in the kernel
-/// socket buffer, not in our memory — with one exception: a partially
-/// read frame is always read to completion (bounded by
-/// [`MAX_FRAME_LEN`]), because no amount of waiting makes a half-frame
-/// parseable.
-const READ_PAUSE_BYTES: usize = 64 * 1024;
 
 /// How long the listener stays deregistered after an accept failure that
 /// retrying cannot clear (fd exhaustion): level-triggered epoll would
@@ -142,59 +132,18 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 /// signal for stop() and completions.
 const WAIT_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Bytes read per `read` call into the reassembly buffer. Small on
-/// purpose: ten thousand idle connections each pin roughly this much.
-const READ_CHUNK: usize = 2048;
-
-/// Buffer capacity above which an idle (empty) buffer is shrunk back, so
-/// one large frame does not pin its high-water mark forever.
-const TRIM_CAP: usize = 16 * 1024;
-
-/// One connection owned by the reactor.
-struct Conn {
+/// One connection owned by the reactor: its socket and its core.
+struct Slot {
     stream: TcpStream,
-    /// Frame reassembly: unconsumed bytes are `read_buf[read_pos..]`.
-    read_buf: Vec<u8>,
-    read_pos: usize,
-    /// Encoded replies not yet written; unsent bytes are
-    /// `write_buf[write_pos..]`.
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    /// The at-most-one worker-bound request awaiting its completion.
-    inflight: Option<InFlight>,
+    conn: Conn,
     /// Interest currently registered with the poller.
     interest: epoll::Interest,
-    /// Flush pending writes, then close (protocol violation path).
-    closing: bool,
-    /// Peer's read side hung up: no more requests will arrive, but a
-    /// half-closing peer is still owed every buffered reply — close only
-    /// once nothing is in flight and the write buffer has drained.
-    eof: bool,
-    /// The socket itself failed (write error, unpollable): replies are
-    /// undeliverable, close immediately.
-    broken: bool,
-    /// Token-bucket state ([`RateLimit`]).
-    tokens: f64,
-    last_refill: Instant,
     /// Bytes currently accounted into the buffered-bytes gauge.
     accounted: i64,
 }
 
-/// What the reactor remembers about an in-flight request.
-struct InFlight {
-    entry: StreamEntry,
-    /// Stats replies fold connection-side counters on completion.
-    fold: bool,
-}
-
 /// Runs the reactor loop on the calling thread until [`Server::stop`].
 pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig) -> io::Result<()> {
-    if !epoll::supported() {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the readiness reactor needs the vendored epoll poller (linux x86_64/aarch64)",
-        ));
-    }
     listener.set_nonblocking(true)?;
     let poller = epoll::Poller::new()?;
     poller.register(&listener, LISTENER, epoll::Interest::READ)?;
@@ -203,21 +152,21 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
     // guard unregisters on every exit path.
     server.accept_wakers.lock().expect("accept waker lock poisoned").push(Arc::clone(&waker));
     let _guard = WakerGuard { server, waker: Arc::clone(&waker) };
+    let completions = Arc::new(Completions { queue: Mutex::new(Vec::new()), waker });
 
+    let router = &*server.router;
     let rmetrics = server.metrics().reactor();
-    let completions: CompletionQueue = Arc::new(Mutex::new(Vec::new()));
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut slots: HashMap<u64, Slot> = HashMap::new();
     let mut next_token = FIRST_CONN;
     let mut events: Vec<epoll::Event> = Vec::new();
     let mut done: Vec<(u64, Response)> = Vec::new();
-    let mut scratch = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
     // When set, the listener is deregistered until this instant (accept
     // backoff after fd exhaustion).
     let mut accept_resume: Option<Instant> = None;
 
     while !server.shutdown.load(Ordering::Relaxed) {
-        // The waker is the real signal for stop() and completions; the
+        // The wakers are the real signal for stop() and completions; the
         // timeout is a defensive bound, not a polling cadence — unless
         // the listener is parked, in which case it must also cover the
         // re-arm deadline.
@@ -225,10 +174,11 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
             at.saturating_duration_since(Instant::now()).min(WAIT_TIMEOUT)
         });
         poller.wait(&mut events, Some(timeout))?;
-        waker.drain();
+        completions.waker.drain();
+        let ctx = Ctx { router, completions: &completions, now: Instant::now() };
 
         if let Some(at) = accept_resume {
-            if Instant::now() >= at {
+            if ctx.now >= at {
                 // Level-triggered: connections that queued while parked
                 // make the listener readable on the very next wait.
                 poller.register(&listener, LISTENER, epoll::Interest::READ)?;
@@ -239,25 +189,18 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
         // Completions first: they free connections to resume parsing
         // frames that are already buffered (no readable event will
         // re-announce bytes we hold in userspace).
-        done.clear();
-        done.append(&mut completions.lock().expect("completion queue poisoned"));
+        done.append(&mut completions.queue.lock().expect("completion queue poisoned"));
         for (token, response) in done.drain(..) {
-            let Some(conn) = conns.get_mut(&token) else {
+            let Some(slot) = slots.get_mut(&token) else {
                 // The connection died while its job was in flight; the
                 // reply is dropped but pooled buffers must still recycle.
                 if let Response::Fed { outputs, .. } = response {
-                    server.pool.put(outputs);
+                    router.pool.put(outputs);
                 }
                 continue;
             };
-            let response = match conn.inflight.take() {
-                Some(inflight) if inflight.fold => {
-                    crate::server::fold_stats(response, &inflight.entry)
-                }
-                _ => response,
-            };
-            respond(conn, response, server, &mut scratch);
-            advance(conn, token, server, &config, &rmetrics, &completions, &waker, &mut scratch);
+            let next = slot.conn.complete(response, router, ctx.now);
+            ctx.submit(&mut slot.conn, token, next);
             touched.push(token);
         }
 
@@ -270,32 +213,30 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
                         &poller,
                         &config,
                         &rmetrics,
-                        &mut conns,
+                        &mut slots,
                         &mut next_token,
+                        ctx.now,
                     )?;
                     if backoff {
                         // Persistent accept failure (fd exhaustion):
                         // park the listener briefly instead of spinning
                         // on a readiness we cannot act on.
                         let _ = poller.deregister(&listener);
-                        accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
+                        accept_resume = Some(ctx.now + ACCEPT_BACKOFF);
                     }
                 }
                 WAKER => {}
                 token => {
-                    let Some(conn) = conns.get_mut(&token) else { continue };
+                    let Some(slot) = slots.get_mut(&token) else { continue };
                     if event.readable {
-                        fill_read_buf(conn, &config);
-                        advance(
-                            conn,
-                            token,
-                            server,
-                            &config,
-                            &rmetrics,
-                            &completions,
-                            &waker,
-                            &mut scratch,
-                        );
+                        while let Some(space) = slot.conn.read_space() {
+                            let read = slot.stream.read(space);
+                            if !slot.conn.received(read) {
+                                break;
+                            }
+                        }
+                        let next = slot.conn.advance(router, ctx.now);
+                        ctx.submit(&mut slot.conn, token, next);
                     }
                     touched.push(token);
                 }
@@ -307,54 +248,25 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
         touched.sort_unstable();
         touched.dedup();
         for token in touched.drain(..) {
-            let Some(conn) = conns.get_mut(&token) else { continue };
-            // Flush, then re-run the parser while flushing made room
-            // below the write ceiling: a connection throttled on
-            // buffered replies can hold complete frames in userspace
-            // that no readable event will ever re-announce, so the
-            // drain itself must resume it.
-            loop {
-                flush(conn);
-                if conn.closing
-                    || conn.broken
-                    || conn.inflight.is_some()
-                    || pending_writes(conn) >= config.max_buffered_bytes
-                {
-                    break;
-                }
-                let before = conn.read_buf.len() - conn.read_pos;
-                if before < 4 {
-                    break;
-                }
-                advance(
-                    conn,
-                    token,
-                    server,
-                    &config,
-                    &rmetrics,
-                    &completions,
-                    &waker,
-                    &mut scratch,
-                );
-                if conn.read_buf.len() - conn.read_pos == before {
-                    break; // only a partial frame left: nothing consumable
-                }
-            }
-            trim(conn);
-            account(conn, &rmetrics);
-            if conn_finished(conn) {
-                let conn = conns.remove(&token).expect("present above");
-                close(&poller, conn, &rmetrics);
+            let Some(slot) = slots.get_mut(&token) else { continue };
+            flush(slot, token, &ctx);
+            slot.conn.trim();
+            let now = i64::try_from(slot.conn.capacity()).unwrap_or(i64::MAX);
+            rmetrics.buffered_bytes.add(now - slot.accounted);
+            slot.accounted = now;
+            if slot.conn.finished() {
+                let slot = slots.remove(&token).expect("present above");
+                close(&poller, slot, &rmetrics);
             } else {
-                rearm(&poller, conn, token, &config);
+                rearm(&poller, slot, token);
             }
         }
     }
 
     // Orderly exit: drop every connection (sockets close; completions for
-    // jobs still in flight recycle through the queue's Arc harmlessly).
-    for (_, conn) in conns.drain() {
-        close(&poller, conn, &rmetrics);
+    // jobs still in flight land in a queue nobody drains).
+    for (_, slot) in slots.drain() {
+        close(&poller, slot, &rmetrics);
     }
     Ok(())
 }
@@ -375,14 +287,16 @@ impl Drop for WakerGuard<'_> {
 /// Drains the listener: admit up to the cap, refuse the rest with a coded
 /// `Busy` frame. Returns `true` when the caller should park the listener
 /// briefly (an accept failure retrying cannot clear, e.g. fd exhaustion).
+#[allow(clippy::too_many_arguments)]
 fn accept_ready(
     server: &Server,
     listener: &TcpListener,
     poller: &epoll::Poller,
     config: &ReactorConfig,
     rmetrics: &ReactorMetrics,
-    conns: &mut HashMap<u64, Conn>,
+    slots: &mut HashMap<u64, Slot>,
     next_token: &mut u64,
+    now: Instant,
 ) -> io::Result<bool> {
     loop {
         let (stream, _peer) = match listener.accept() {
@@ -406,7 +320,7 @@ fn accept_ready(
             // readable forever: back off instead of hot-spinning.
             Err(_) => return Ok(true),
         };
-        if conns.len() >= config.max_connections {
+        if slots.len() >= config.max_connections {
             refuse(stream, rmetrics);
             continue;
         }
@@ -421,24 +335,11 @@ fn accept_ready(
         }
         rmetrics.accepted.inc();
         rmetrics.connections.inc();
-        conns.insert(
-            token,
-            Conn {
-                stream,
-                read_buf: Vec::new(),
-                read_pos: 0,
-                write_buf: Vec::new(),
-                write_pos: 0,
-                inflight: None,
-                interest: epoll::Interest::READ,
-                closing: false,
-                eof: false,
-                broken: false,
-                tokens: config.rate_limit.map_or(0.0, |limit| f64::from(limit.burst)),
-                last_refill: Instant::now(),
-                accounted: 0,
-            },
-        );
+        let limiter = config
+            .rate_limit
+            .map(|limit| Limiter::new(limit, Arc::clone(&rmetrics.rate_limited), now));
+        let conn = Conn::new(config.max_buffered_bytes, limiter);
+        slots.insert(token, Slot { stream, conn, interest: epoll::Interest::READ, accounted: 0 });
     }
 }
 
@@ -446,332 +347,55 @@ fn accept_ready(
 /// then the socket drops.
 fn refuse(mut stream: TcpStream, rmetrics: &ReactorMetrics) {
     rmetrics.rejected.inc();
-    let mut body = Vec::new();
-    Response::Busy.encode(&mut body);
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&u32::try_from(body.len()).expect("tiny frame").to_le_bytes());
-    frame.extend_from_slice(&body);
+    let mut frame = Vec::new();
+    crate::conn::push_frame(&Response::Busy, &mut frame);
     stream.set_nonblocking(true).ok();
     let _ = stream.write(&frame);
 }
 
-/// Reads everything the socket has (up to the buffered-bytes ceiling)
-/// into the reassembly buffer.
-fn fill_read_buf(conn: &mut Conn, config: &ReactorConfig) {
-    if conn.closing || conn.eof || conn.broken {
-        // A closing connection only flushes; drain-and-discard would
-        // just burn cycles on a peer we are done with.
-        return;
-    }
+/// Writes pending reply bytes until the socket would block. Each write
+/// feeds back into the core, which may parse (and dispatch) further
+/// frames the drain unblocked — their replies join the same flush.
+fn flush(slot: &mut Slot, token: u64, ctx: &Ctx<'_>) {
     loop {
-        let unparsed = conn.read_buf.len() - conn.read_pos;
-        if unparsed >= READ_PAUSE_BYTES && !mid_frame(conn) {
-            return; // rearm() deregisters reads until the backlog drains
+        let output = slot.conn.output();
+        if output.is_empty() {
+            return;
         }
-        if pending_writes(conn) >= config.max_buffered_bytes {
-            return; // peer must drain replies before sending more
-        }
-        let old_len = conn.read_buf.len();
-        conn.read_buf.resize(old_len + READ_CHUNK, 0);
-        match conn.stream.read(&mut conn.read_buf[old_len..]) {
-            Ok(0) => {
-                conn.read_buf.truncate(old_len);
-                conn.eof = true;
-                return;
-            }
+        match slot.stream.write(output) {
+            Ok(0) => return slot.conn.fail(),
             Ok(n) => {
-                conn.read_buf.truncate(old_len + n);
+                let next = slot.conn.consume(n, ctx.router, ctx.now);
+                ctx.submit(&mut slot.conn, token, next);
             }
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                conn.read_buf.truncate(old_len);
-                return;
-            }
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {
-                conn.read_buf.truncate(old_len);
-            }
-            Err(_) => {
-                // A read *error* (reset, timeout) is a dead socket, not
-                // a graceful half-close: replies are undeliverable.
-                conn.read_buf.truncate(old_len);
-                conn.broken = true;
-                return;
-            }
-        }
-    }
-}
-
-/// Whether the connection's unparsed bytes stop short of one complete
-/// frame. Reads may not pause in this state — only more socket bytes can
-/// make the frame parseable — except when the advertised length already
-/// exceeds [`MAX_FRAME_LEN`], where `advance` condemns the connection
-/// from the header alone.
-fn mid_frame(conn: &Conn) -> bool {
-    let unparsed = &conn.read_buf[conn.read_pos..];
-    if unparsed.len() < 4 {
-        return true;
-    }
-    let body_len = u32::from_le_bytes(unparsed[..4].try_into().expect("length checked")) as usize;
-    body_len <= MAX_FRAME_LEN && unparsed.len() < 4 + body_len
-}
-
-/// Parses and routes every complete frame the connection has buffered,
-/// stopping at a partial frame, an in-flight request, or a write ceiling.
-#[allow(clippy::too_many_arguments)]
-fn advance(
-    conn: &mut Conn,
-    token: u64,
-    server: &Server,
-    config: &ReactorConfig,
-    rmetrics: &ReactorMetrics,
-    completions: &CompletionQueue,
-    waker: &Arc<epoll::Waker>,
-    scratch: &mut Vec<u8>,
-) {
-    loop {
-        if conn.inflight.is_some() || conn.closing || conn.broken {
-            return;
-        }
-        if pending_writes(conn) >= config.max_buffered_bytes {
-            return;
-        }
-        let unparsed = &conn.read_buf[conn.read_pos..];
-        if unparsed.len() < 4 {
-            compact(conn);
-            return;
-        }
-        let body_len =
-            u32::from_le_bytes(unparsed[..4].try_into().expect("length checked")) as usize;
-        if body_len > MAX_FRAME_LEN {
-            // Framing is poisoned, exactly like the blocking path's
-            // read_frame error: answer once, then close.
-            let message = format!("{body_len}-byte frame exceeds the {MAX_FRAME_LEN}-byte cap");
-            respond(conn, Response::Error { code: ErrorCode::Other, message }, server, scratch);
-            conn.closing = true;
-            return;
-        }
-        if unparsed.len() < 4 + body_len {
-            compact(conn);
-            return;
-        }
-        // Admission: one token per request, parsed or not. A flood is
-        // answered with coded errors at memcpy speed and never reaches
-        // the worker queues honest connections share.
-        if let Some(limit) = config.rate_limit {
-            if !admit(conn, limit) {
-                conn.read_pos += 4 + body_len;
-                rmetrics.rate_limited.inc();
-                respond(
-                    conn,
-                    Response::Error {
-                        code: ErrorCode::RateLimited,
-                        message: format!(
-                            "connection exceeded {}/s (burst {})",
-                            limit.per_sec, limit.burst
-                        ),
-                    },
-                    server,
-                    scratch,
-                );
-                continue;
-            }
-        }
-        // Re-resolved per frame, like the blocking path: the mesh swaps
-        // the handler around promotions while connections are live.
-        let handler = server.replica_handler.lock().expect("replica handler lock poisoned").clone();
-        let body = &conn.read_buf[conn.read_pos + 4..conn.read_pos + 4 + body_len];
-        let routed = match Request::decode(body) {
-            Ok(request) => route_prepare(
-                &request,
-                &server.registry,
-                &server.pool,
-                server.metrics(),
-                handler.as_ref(),
-            ),
-            Err(err) => {
-                conn.read_pos += 4 + body_len;
-                respond(
-                    conn,
-                    Response::Error { code: ErrorCode::Other, message: err.to_string() },
-                    server,
-                    scratch,
-                );
-                conn.closing = true;
-                return;
-            }
-        };
-        conn.read_pos += 4 + body_len;
-        match routed {
-            Routed::Immediate(response) => respond(conn, response, server, scratch),
-            Routed::Blocking { replace, op } => {
-                // Create/restore keep their synchronous two-phase
-                // protocol; they are rare and rollback-correct this way.
-                let response = blocking_route(
-                    &server.registry,
-                    &server.senders,
-                    &server.pool,
-                    server.metrics(),
-                    replace,
-                    op,
-                );
-                respond(conn, response, server, scratch);
-            }
-            Routed::Enqueue { entry, op, fold } => {
-                let reply = ReplyTo::Reactor(CompletionSender {
-                    conn: token,
-                    completions: Arc::clone(completions),
-                    waker: Arc::clone(waker),
-                });
-                match try_enqueue(
-                    &server.senders,
-                    &entry,
-                    op,
-                    &server.pool,
-                    server.metrics(),
-                    reply,
-                ) {
-                    Some(response) => respond(conn, response, server, scratch),
-                    None => {
-                        conn.inflight = Some(InFlight { entry, fold });
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Spends one admission token, refilling the bucket first.
-fn admit(conn: &mut Conn, limit: RateLimit) -> bool {
-    let now = Instant::now();
-    let elapsed = now.duration_since(conn.last_refill).as_secs_f64();
-    conn.last_refill = now;
-    conn.tokens = (conn.tokens + elapsed * f64::from(limit.per_sec)).min(f64::from(limit.burst));
-    if conn.tokens >= 1.0 {
-        conn.tokens -= 1.0;
-        true
-    } else {
-        false
-    }
-}
-
-/// Encodes one reply frame onto the connection's write buffer, recycling
-/// a Fed reply's pooled outputs buffer (same contract as the blocking
-/// path's connection loop).
-fn respond(conn: &mut Conn, response: Response, server: &Server, scratch: &mut Vec<u8>) {
-    encode_bounded(&response, scratch);
-    if let Response::Fed { outputs, .. } = response {
-        server.pool.put(outputs);
-    }
-    let len = u32::try_from(scratch.len()).expect("encode_bounded caps the body");
-    conn.write_buf.extend_from_slice(&len.to_le_bytes());
-    conn.write_buf.extend_from_slice(scratch);
-}
-
-/// Writes pending reply bytes until the socket would block.
-fn flush(conn: &mut Conn) {
-    while conn.write_pos < conn.write_buf.len() {
-        match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-            Ok(0) => {
-                conn.broken = true;
-                return;
-            }
-            Ok(n) => conn.write_pos += n,
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.broken = true;
-                return;
-            }
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return slot.conn.fail(),
         }
     }
-    conn.write_buf.clear();
-    conn.write_pos = 0;
 }
 
-/// Bytes of encoded replies not yet on the wire.
-fn pending_writes(conn: &Conn) -> usize {
-    conn.write_buf.len() - conn.write_pos
-}
-
-/// Drops the consumed read-buffer prefix once it dominates the buffer.
-fn compact(conn: &mut Conn) {
-    if conn.read_pos == conn.read_buf.len() {
-        conn.read_buf.clear();
-        conn.read_pos = 0;
-    } else if conn.read_pos > READ_CHUNK {
-        conn.read_buf.drain(..conn.read_pos);
-        conn.read_pos = 0;
-    }
-}
-
-/// Returns an idle connection's buffers to a small footprint, so one
-/// large frame does not pin its high-water capacity across ten thousand
-/// connections.
-fn trim(conn: &mut Conn) {
-    if conn.read_buf.capacity() > TRIM_CAP && conn.read_buf.len() - conn.read_pos < TRIM_CAP {
-        conn.read_buf.drain(..conn.read_pos);
-        conn.read_pos = 0;
-        conn.read_buf.shrink_to(TRIM_CAP);
-    }
-    if conn.write_buf.capacity() > TRIM_CAP && pending_writes(conn) < TRIM_CAP {
-        conn.write_buf.drain(..conn.write_pos);
-        conn.write_pos = 0;
-        conn.write_buf.shrink_to(TRIM_CAP);
-    }
-}
-
-/// Re-accounts the connection's buffer memory into the shared gauge.
-fn account(conn: &mut Conn, rmetrics: &ReactorMetrics) {
-    let now =
-        i64::try_from(conn.read_buf.capacity() + conn.write_buf.capacity()).unwrap_or(i64::MAX);
-    rmetrics.buffered_bytes.add(now - conn.accounted);
-    conn.accounted = now;
-}
-
-/// Whether the connection is done: the socket failed outright, or the
-/// peer hung up / was condemned AND every owed reply has been flushed
-/// with nothing left in flight to complete.
-fn conn_finished(conn: &Conn) -> bool {
-    if conn.broken {
-        return true; // replies are undeliverable anyway
-    }
-    if conn.inflight.is_some() {
-        return false;
-    }
-    // Read-side EOF means "no more requests", not "close now": a
-    // half-closing peer (write, shutdown(WR), read replies) is still
-    // owed everything buffered — exactly what the blocking path
-    // delivers by writing each reply before the next read.
-    if conn.eof {
-        return pending_writes(conn) == 0;
-    }
-    conn.closing && pending_writes(conn) == 0
-}
-
-/// Re-registers the connection's poller interest to match its state:
-/// reads unless paused (in-flight backlog or write ceiling), writes only
-/// while replies are pending.
-fn rearm(poller: &epoll::Poller, conn: &mut Conn, token: u64, config: &ReactorConfig) {
-    let unparsed = conn.read_buf.len() - conn.read_pos;
-    let paused = unparsed >= READ_PAUSE_BYTES && !mid_frame(conn);
-    // No reads after EOF either: a hung-up fd stays level-triggered
-    // readable forever and would spin the reactor while replies drain.
-    let read =
-        !conn.closing && !conn.eof && !paused && pending_writes(conn) < config.max_buffered_bytes;
-    let want = epoll::Interest { read, write: pending_writes(conn) > 0 };
-    if want.read != conn.interest.read || want.write != conn.interest.write {
-        if poller.modify(&conn.stream, token, want).is_ok() {
-            conn.interest = want;
+/// Re-registers the connection's poller interest to match its core:
+/// reads unless paused, writes only while replies are pending.
+fn rearm(poller: &epoll::Poller, slot: &mut Slot, token: u64) {
+    // No reads after EOF either (the core stops wanting them): a hung-up
+    // fd stays level-triggered readable forever and would spin the
+    // reactor while replies drain.
+    let want =
+        epoll::Interest { read: slot.conn.wants_read(), write: !slot.conn.output().is_empty() };
+    if want.read != slot.interest.read || want.write != slot.interest.write {
+        if poller.modify(&slot.stream, token, want).is_ok() {
+            slot.interest = want;
         } else {
-            conn.broken = true; // unpollable socket: give it up next settle
+            slot.conn.fail(); // unpollable socket: give it up next settle
         }
     }
 }
 
 /// Deregisters and drops one connection, releasing its accounted memory.
-fn close(poller: &epoll::Poller, conn: Conn, rmetrics: &ReactorMetrics) {
-    let _ = poller.deregister(&conn.stream);
-    rmetrics.buffered_bytes.add(-conn.accounted);
+fn close(poller: &epoll::Poller, slot: Slot, rmetrics: &ReactorMetrics) {
+    let _ = poller.deregister(&slot.stream);
+    rmetrics.buffered_bytes.add(-slot.accounted);
     rmetrics.connections.dec();
 }
 
@@ -780,7 +404,7 @@ mod tests {
     use super::*;
     use crate::client::ServiceClient;
     use crate::error::ServiceError;
-    use crate::protocol::{EstimatorKind, StreamConfig};
+    use crate::protocol::{EstimatorKind, Request, StreamConfig};
     use crate::server::{Server, ServerConfig};
     use uns_core::NodeId;
     use uns_sketch::HashFamilyKind;

@@ -3,14 +3,20 @@
 //! # Architecture
 //!
 //! ```text
-//! connection threads (1 per Transport)      worker pool (stream shards)
-//! ┌─────────────────────────────┐   try_send   ┌──────────────────────┐
-//! │ read frame → decode request │ ───────────► │ worker 0: streams    │
-//! │ route by stream name        │   bounded    │   {a, d, …} samplers │
-//! │ wait reply → write frame    │ ◄─────────── │ worker 1: streams    │
-//! └─────────────────────────────┘    reply     │   {b, c, …} samplers │
-//!                                              └──────────────────────┘
+//! connection drivers                          worker pool (stream shards)
+//! ┌──────────────────────────────────┐ try_send ┌──────────────────────┐
+//! │ Conn: bytes → frames → requests  │ ───────► │ worker 0: streams    │
+//! │ route by stream name             │ bounded  │   {a, d, …} samplers │
+//! │ reply bytes ← completion         │ ◄─────── │ worker 1: streams    │
+//! └──────────────────────────────────┘  reply   │   {b, c, …} samplers │
+//!  reactor (TCP) · pump (any Transport)         └──────────────────────┘
 //! ```
+//!
+//! Every connection runs the one sans-IO connection core (`conn.rs`),
+//! driven by the epoll [`crate::reactor`] for TCP or by a blocking pump
+//! thread for in-process pipes. Both hand worker-bound requests to the
+//! same router, so framing, reply order and admission are one mechanism
+//! whatever the transport.
 //!
 //! Every named stream is owned by exactly **one** worker (assigned
 //! round-robin at creation), so all operations on a stream are serialized
@@ -21,21 +27,32 @@
 //! replay it in-process and compare bit for bit).
 //!
 //! Queues are **bounded**: when a shard's queue is full the connection
-//! thread replies [`Response::Busy`] immediately instead of buffering —
-//! memory is bounded by `workers × queue_depth` jobs no matter how many
-//! connections push. Clients retry (the load generator counts these).
+//! replies [`Response::Busy`] immediately instead of buffering — memory is
+//! bounded by `workers × queue_depth` jobs no matter how many connections
+//! push. Clients retry (the load generator counts these). Creation,
+//! restore and promotion are ordinary jobs too: no request makes a
+//! connection driver wait on a worker or a disk.
+//!
+//! Replica shipments queue for the **replica applier**, one thread of its
+//! own rather than a stream worker. A primary's worker blocks in
+//! [`ReplicationSink::ship`] until its peer answers; if the peer applied
+//! shipments on a worker that could itself be blocked shipping back, two
+//! nodes replicating to each other could wait on each other forever. The
+//! applier never ships, so it always drains. Its queue needs no bound and
+//! never answers Busy: every connection has at most one request in flight,
+//! so it holds at most one shipment per connection.
 //!
 //! # Buffer pool
 //!
 //! The batch hot path is allocation-free in steady state: identifier
 //! buffers cycle through a shared `BufferPool` instead of being
-//! allocated per request. A connection thread takes a buffer for the
-//! request's ids and the owning worker returns it after feeding; the
-//! worker takes a buffer for the Feed reply's outputs (previously an
-//! `outputs.clone()` per batch — the allocation the pool exists to kill)
-//! and the connection thread returns it once the reply is encoded. A
-//! counting-allocator regression test pins that a long feed session does
-//! not allocate proportionally to the batch size.
+//! allocated per request. A connection takes a buffer for the request's
+//! ids and the owning worker returns it after feeding; the worker takes a
+//! buffer for the Feed reply's outputs (previously an `outputs.clone()`
+//! per batch — the allocation the pool exists to kill) and the connection
+//! returns it once the reply is encoded. A counting-allocator regression
+//! test pins that a long feed session does not allocate proportionally to
+//! the batch size.
 
 use crate::error::ServiceError;
 use crate::fault::{FaultBackend, FaultPlan, FaultTransport};
@@ -51,12 +68,11 @@ use crate::wal::{
     encode_record, parse_wal, DurabilityStats, DurableSnapshot, FsyncPolicy, WalOp, WalOpRef,
     WalWriter, WAL_HEADER_LEN,
 };
-use crate::wire::{read_frame, write_frame, MAX_FRAME_LEN};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -150,16 +166,30 @@ pub(crate) enum StreamOp {
     Floor,
     Snapshot,
     Stats,
+    /// A replication shipment for a replica-held stream, applied through
+    /// the replica handler on the replica applier, never on a worker.
+    Replicate(Box<Shipment>),
     /// Test hook: panics inside the worker, exercising panic isolation.
     #[cfg(test)]
     Panic,
 }
 
-/// Where a worker's reply goes. The blocking connection path waits on a
-/// one-shot channel; the reactor path pushes into a completion queue and
-/// wakes the reactor thread. Workers never block on a reply either way.
+/// One `Replicate` request, copied off the frame so the applier can apply
+/// it after the connection has moved on to its next bytes.
+pub(crate) struct Shipment {
+    handler: Arc<dyn ReplicaHandler>,
+    name: String,
+    generation: u64,
+    first_seq: u64,
+    snapshot: Option<Vec<u8>>,
+    records: Vec<u8>,
+}
+
+/// Where a worker's reply goes: a one-shot channel a blocked caller waits
+/// on (the pump, [`Server::adopt_stream`]), or the reactor's completion
+/// queue. Workers never block on a reply either way.
 pub(crate) enum ReplyTo {
-    /// One-shot channel whose receiver a connection thread blocks on.
+    /// One-shot channel whose receiver a blocked caller waits on.
     Channel(SyncSender<Response>),
     /// Reactor completion: push `(connection, response)` and wake.
     Reactor(crate::reactor::CompletionSender),
@@ -179,6 +209,9 @@ pub(crate) struct Job {
     stream: u64,
     op: StreamOp,
     reply: ReplyTo,
+    /// Phase 2 of a fresh name's reservation, settled by the worker
+    /// before `reply` is sent.
+    reservation: Option<Reservation>,
 }
 
 /// Routing entry of one named stream.
@@ -186,20 +219,19 @@ pub(crate) struct Job {
 pub(crate) struct StreamEntry {
     worker: usize,
     id: u64,
-    /// Requests bounced with Busy for this stream (incremented by
-    /// connection threads, folded into Stats replies). This is the
-    /// registered `uns_stream_busy_rejections_total` counter itself, so
-    /// the Stats fold and the exposition read the same atomic.
+    /// Requests bounced with Busy for this stream (incremented by the
+    /// connections, folded into Stats replies). This is the registered
+    /// `uns_stream_busy_rejections_total` counter itself, so the Stats
+    /// fold and the exposition read the same atomic.
     busy: Arc<Counter>,
     /// The stream's registered replication series (lag gauge, shipped
     /// bytes, failovers) — same idiom as `busy`: the mesh replicator
     /// updates the registry atomics, the Stats fold reads them here.
     replication: ReplicationHandles,
-    /// `false` while the creating connection's Create/Restore round-trip
-    /// is still in flight. Other connections seeing a pending entry reply
-    /// Busy instead of racing the creation — and the creator does its
-    /// round-trip **without** holding the registry lock, so one slow
-    /// create/restore cannot stall unrelated streams.
+    /// `false` while the stream's Create/Restore/Adopt job is in flight.
+    /// Other requests seeing a pending entry reply Busy instead of racing
+    /// the creation, and the registry lock is not held meanwhile, so one
+    /// slow create cannot stall unrelated streams.
     ready: Arc<AtomicBool>,
 }
 
@@ -207,6 +239,46 @@ pub(crate) struct Registry {
     streams: Mutex<HashMap<String, StreamEntry>>,
     next_id: AtomicU64,
     next_worker: AtomicU64,
+}
+
+/// Phase 2 of the two-phase name reservation, carried by the create job
+/// to the owning worker. Phase 1 (reserving the name under the registry
+/// lock) is [`Router::reserve`]. The worker settles the reservation
+/// before it replies: an `Ok` marks the entry ready. Dropping it
+/// unsettled rolls the name back — a failed or panicking create, a Busy
+/// bounce, a job dropped at shutdown — so the name is free again before
+/// any reply says the create failed.
+pub(crate) struct Reservation {
+    registry: Arc<Registry>,
+    metrics: Arc<ServiceMetrics>,
+    name: String,
+    entry: StreamEntry,
+}
+
+impl Reservation {
+    fn settle(self, response: &Response) {
+        if matches!(response, Response::Ok) {
+            self.entry.ready.store(true, Ordering::Release);
+        }
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        if self.entry.ready.load(Ordering::Acquire) {
+            return;
+        }
+        // Matched by id: a panicking create's teardown may have freed the
+        // name already, and a later create may have taken it since.
+        let mut streams = self.registry.streams.lock().expect("registry lock poisoned");
+        if streams.get(&self.name).is_some_and(|e| e.id == self.entry.id) {
+            streams.remove(&self.name);
+            drop(streams);
+            // The worker may have registered this stream's series before
+            // the create failed; a rolled-back name must not keep exporting.
+            self.metrics.remove_stream(&self.name);
+        }
+    }
 }
 
 /// Most identifier buffers the pool retains; beyond this, returned buffers
@@ -288,6 +360,11 @@ pub trait ReplicationSink: Send + Sync {
 /// must stop claiming the stream *before* [`Server::adopt_stream`] is
 /// called, so the one-point [`ReplicaHandler::holds`] check in routing
 /// never bounces ops on a stream the registry already serves.
+///
+/// `apply` runs on the server's replica applier, one thread that never
+/// ships (see the module docs): shipments apply in arrival order, a slow
+/// durable append stalls no connection, and two nodes replicating to each
+/// other cannot wait on each other.
 pub trait ReplicaHandler: Send + Sync {
     /// Applies one shipment, returning the reply frame: `ReplState` with
     /// the replica's durable position on success (log-before-ack — the
@@ -310,9 +387,19 @@ pub trait ReplicaHandler: Send + Sync {
 /// mesh wires nodes together once they all listen), read by every worker.
 type SinkCell = Arc<Mutex<Option<Arc<dyn ReplicationSink>>>>;
 
-/// Shared slot for the replica-side shipment handler, read by every
-/// connection thread.
-pub(crate) type HandlerCell = Arc<Mutex<Option<Arc<dyn ReplicaHandler>>>>;
+/// What routing reads, shared by the server handle, the reactor thread
+/// and every pump thread: the name registry, the worker queues, the
+/// buffer pool, the metrics and the replica-side shipment handler.
+pub(crate) struct Router {
+    registry: Arc<Registry>,
+    senders: Vec<SyncSender<Job>>,
+    /// The replica applier's queue (see the module docs); `None` once the
+    /// server is dropped.
+    applier: Option<Sender<Job>>,
+    pub(crate) pool: Arc<BufferPool>,
+    pub(crate) metrics: Arc<ServiceMetrics>,
+    replica_handler: Mutex<Option<Arc<dyn ReplicaHandler>>>,
+}
 
 /// The sampling server: owns the worker pool and accepts connections on
 /// any [`Transport`].
@@ -321,15 +408,11 @@ pub(crate) type HandlerCell = Arc<Mutex<Option<Arc<dyn ReplicaHandler>>>>;
 /// "shutting down" errors on their next request).
 pub struct Server {
     config: ServerConfig,
-    pub(crate) registry: Arc<Registry>,
-    pub(crate) senders: Vec<SyncSender<Job>>,
+    pub(crate) router: Arc<Router>,
     workers: Vec<JoinHandle<()>>,
     pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) pool: Arc<BufferPool>,
     durability: Option<DurabilityConfig>,
-    metrics: Arc<ServiceMetrics>,
     replication_sink: SinkCell,
-    pub(crate) replica_handler: HandlerCell,
     /// Wakers of accept/reactor loops blocked in a poller wait;
     /// [`Server::stop`] wakes each one so no loop sits out a timeout.
     pub(crate) accept_wakers: Arc<Mutex<Vec<Arc<epoll::Waker>>>>,
@@ -341,7 +424,8 @@ pub struct Server {
 impl Server {
     /// Starts the worker pool. No connections are accepted yet — pass
     /// transports to [`Server::handle`], in-process pipes from
-    /// [`Server::connect_in_process`], or a listener to [`Server::serve`].
+    /// [`Server::connect_in_process`], or a listener to
+    /// [`Server::serve_reactor`].
     pub fn start(config: ServerConfig) -> Self {
         let metrics = Arc::new(ServiceMetrics::new(config.workers.max(1)));
         Self::start_inner(config, None, Vec::new(), HashMap::new(), metrics)
@@ -422,7 +506,6 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
         let replication_sink: SinkCell = Arc::new(Mutex::new(None));
-        let replica_handler: HandlerCell = Arc::new(Mutex::new(None));
         initial.resize_with(workers_n, HashMap::new);
         let mut senders = Vec::with_capacity(workers_n);
         let mut workers = Vec::with_capacity(workers_n);
@@ -447,17 +530,30 @@ impl Server {
                     .expect("spawning a worker thread"),
             );
         }
-        Self {
-            config: ServerConfig { workers: workers_n, queue_depth },
+        let (applier, rx) = mpsc::channel::<Job>();
+        let applier_shutdown = Arc::clone(&shutdown);
+        // Joined with the workers on drop.
+        workers.push(
+            std::thread::Builder::new()
+                .name("uns-replica-applier".into())
+                .spawn(move || applier_main(&rx, &applier_shutdown))
+                .expect("spawning the replica applier thread"),
+        );
+        let router = Arc::new(Router {
             registry,
             senders,
+            applier: Some(applier),
+            pool,
+            metrics,
+            replica_handler: Mutex::new(None),
+        });
+        Self {
+            config: ServerConfig { workers: workers_n, queue_depth },
+            router,
             workers,
             shutdown,
-            pool,
             durability,
-            metrics,
             replication_sink,
-            replica_handler,
             accept_wakers: Arc::new(Mutex::new(Vec::new())),
             fail_spawns: Arc::new(AtomicU64::new(0)),
         }
@@ -472,12 +568,13 @@ impl Server {
     /// The same text is served by the wire `Metrics` opcode and the
     /// [`Server::serve_metrics_http`] admin listener.
     pub fn metrics(&self) -> &Arc<ServiceMetrics> {
-        &self.metrics
+        &self.router.metrics
     }
 
-    /// Spawns a connection thread serving `transport` until the peer hangs
-    /// up or violates the protocol. On a durable server with a fault plan,
-    /// the reply path is routed through the plan's transport faults.
+    /// Spawns a thread pumping `transport` through the connection core
+    /// until the peer hangs up or violates the protocol. On a durable
+    /// server with a fault plan, the reply path is routed through the
+    /// plan's transport faults.
     ///
     /// A failed thread spawn (fd or thread exhaustion) costs exactly that
     /// one connection: the transport is dropped (closing it), the
@@ -492,24 +589,19 @@ impl Server {
     }
 
     fn spawn_connection<T: Transport + 'static>(&self, transport: T) {
-        let registry = Arc::clone(&self.registry);
-        let senders = self.senders.clone();
-        let pool = Arc::clone(&self.pool);
-        let metrics = Arc::clone(&self.metrics);
-        let replica = Arc::clone(&self.replica_handler);
+        let router = Arc::clone(&self.router);
         let spawned = if self.take_injected_spawn_failure() {
             Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "injected spawn failure"))
         } else {
-            std::thread::Builder::new().name("uns-conn".into()).spawn(move || {
-                let _ =
-                    handle_connection(transport, &registry, &senders, &pool, &metrics, &replica);
-            })
+            std::thread::Builder::new()
+                .name("uns-conn".into())
+                .spawn(move || crate::conn::pump(transport, &router))
         };
         if spawned.is_err() {
             // The transport was dropped with the failed spawn (or with the
             // unspawned closure), closing the connection. Count it; the
             // caller keeps accepting.
-            self.metrics.spawn_failures().inc();
+            self.metrics().spawn_failures().inc();
         }
     }
 
@@ -535,17 +627,34 @@ impl Server {
         client
     }
 
-    /// Accepts TCP connections until [`Server::stop`] is called. Runs on
-    /// the calling thread; spawn it if you need to keep going.
+    /// Serves TCP connections through the readiness reactor: one thread
+    /// (the calling one) owns the listener and every connection socket,
+    /// reassembles frames without blocking, and hands complete requests
+    /// to the worker pool. Returns when [`Server::stop`] is called.
     ///
-    /// The idle wait is readiness-based: the loop blocks in the vendored
-    /// poller until the listener is ready or `stop()` wakes it, so an
-    /// idle server is actually idle (no 2 ms accept polling).
+    /// On targets without the vendored poller (non-Linux) the same
+    /// connection core runs behind an accept loop instead, one pump
+    /// thread per connection; `config`'s admission limits are reactor
+    /// features and do not apply there.
     ///
     /// # Errors
     ///
-    /// Propagates listener failures other than `WouldBlock`.
-    pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
+    /// Propagates listener/poller failures.
+    pub fn serve_reactor(
+        &self,
+        listener: TcpListener,
+        config: crate::reactor::ReactorConfig,
+    ) -> std::io::Result<()> {
+        if epoll::supported() {
+            crate::reactor::run(self, listener, config)
+        } else {
+            self.serve_pumps(listener)
+        }
+    }
+
+    /// Accepts TCP connections into pump threads until [`Server::stop`]
+    /// (the [`Server::serve_reactor`] fallback).
+    fn serve_pumps(&self, listener: TcpListener) -> std::io::Result<()> {
         listener.set_nonblocking(true)?;
         let mut waiter = AcceptWaiter::new(self, &listener);
         while !self.shutdown.load(Ordering::Relaxed) {
@@ -564,25 +673,6 @@ impl Server {
         Ok(())
     }
 
-    /// Serves TCP connections through the readiness reactor: one thread
-    /// (the calling one) owns the listener and every connection socket,
-    /// reassembles frames without blocking, and hands complete requests
-    /// to the same worker pool [`Server::serve`] uses — same routing,
-    /// same backpressure, bit-identical replies. Returns when
-    /// [`Server::stop`] is called.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener/poller failures; `Unsupported` on targets
-    /// without the vendored poller (non-Linux).
-    pub fn serve_reactor(
-        &self,
-        listener: TcpListener,
-        config: crate::reactor::ReactorConfig,
-    ) -> std::io::Result<()> {
-        crate::reactor::run(self, listener, config)
-    }
-
     /// Serves the plain-HTTP admin surface (`GET /metrics`, `/trace`,
     /// `/healthz` — see [`crate::http`]) until [`Server::stop`] is called.
     /// Runs on the calling thread, one short-lived thread per connection;
@@ -599,7 +689,7 @@ impl Server {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     stream.set_nonblocking(false).ok();
-                    let metrics = Arc::clone(&self.metrics);
+                    let metrics = Arc::clone(self.metrics());
                     let spawned = if self.take_injected_spawn_failure() {
                         Err(std::io::Error::new(
                             std::io::ErrorKind::WouldBlock,
@@ -614,7 +704,7 @@ impl Server {
                     if spawned.is_err() {
                         // This scrape is lost (socket closed with the
                         // drop); the admin listener itself survives.
-                        self.metrics.spawn_failures().inc();
+                        self.metrics().spawn_failures().inc();
                     }
                 }
                 Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
@@ -626,9 +716,9 @@ impl Server {
         Ok(())
     }
 
-    /// Makes every [`Server::serve`] / [`Server::serve_reactor`] /
-    /// [`Server::serve_metrics_http`] loop return: sets the flag, then
-    /// wakes each loop blocked in a poller wait.
+    /// Makes every [`Server::serve_reactor`] / [`Server::serve_metrics_http`]
+    /// loop return: sets the flag, then wakes each loop blocked in a poller
+    /// wait.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         for waker in self.accept_wakers.lock().expect("accept waker lock poisoned").iter() {
@@ -643,10 +733,10 @@ impl Server {
         *self.replication_sink.lock().expect("replication sink lock poisoned") = sink;
     }
 
-    /// Installs (or clears) the replica-side shipment handler. Connection
-    /// threads pick it up on their next frame.
+    /// Installs (or clears) the replica-side shipment handler. Connections
+    /// pick it up on their next frame.
     pub fn set_replica_handler(&self, handler: Option<Arc<dyn ReplicaHandler>>) {
-        *self.replica_handler.lock().expect("replica handler lock poisoned") = handler;
+        *self.router.replica_handler.lock().expect("replica handler lock poisoned") = handler;
     }
 
     /// Promotes a replica-held stream to primary on this node: rebuild it
@@ -676,21 +766,17 @@ impl Server {
                 "stream name must be 1..={MAX_STREAM_NAME_LEN} bytes"
             )));
         }
-        let response = create_or_restore(
-            &self.registry,
-            &self.senders,
-            name,
-            false,
-            &self.pool,
-            &self.metrics,
-            || StreamOp::Adopt(name.to_string()),
-        );
+        let response = match self.router.reserve(name, false, || StreamOp::Adopt(name.into())) {
+            Routed::Immediate(response) => response,
+            Routed::Dispatch(dispatch) => self.router.call(dispatch),
+        };
         response.into_result().map(|_| ())
     }
 
     /// Names of every stream this server currently serves as primary.
     pub fn stream_names(&self) -> Vec<String> {
-        self.registry.streams.lock().expect("registry lock poisoned").keys().cloned().collect()
+        let streams = self.router.registry.streams.lock().expect("registry lock poisoned");
+        streams.keys().cloned().collect()
     }
 
     /// Demotes a stream this node serves: the name leaves the registry
@@ -709,7 +795,7 @@ impl Server {
     /// [`ServiceError::Busy`] when its creation is still in flight.
     pub fn demote_stream(&self, name: &str) -> Result<(), ServiceError> {
         let entry = {
-            let mut streams = self.registry.streams.lock().expect("registry lock poisoned");
+            let mut streams = self.router.registry.streams.lock().expect("registry lock poisoned");
             match streams.get(name) {
                 Some(entry) if entry.ready.load(Ordering::Acquire) => {
                     let entry = entry.clone();
@@ -725,12 +811,12 @@ impl Server {
         // still run first), so ride out transient Busy instead of
         // leaking the worker-held state.
         let response = loop {
-            match enqueue(&self.senders, &entry, StreamOp::Demote, &self.pool, &self.metrics) {
+            match self.router.call(Dispatch::to(entry.clone(), StreamOp::Demote)) {
                 Response::Busy => std::thread::sleep(std::time::Duration::from_millis(1)),
                 other => break other,
             }
         };
-        self.metrics.remove_stream(name);
+        self.metrics().remove_stream(name);
         response.into_result().map(|_| ())
     }
 }
@@ -738,7 +824,13 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
-        self.senders.clear(); // workers exit once their queue drains
+        // With no pump thread left holding the router, dropping the job
+        // senders disconnects the workers' and the applier's queues: they
+        // exit at once instead of at their next idle tick.
+        if let Some(router) = Arc::get_mut(&mut self.router) {
+            router.senders.clear();
+            router.applier = None;
+        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1101,10 +1193,11 @@ fn worker_main(
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
-        // Bounded-wait receive: connection threads hold clones of the job
-        // senders, so the channel does not disconnect while connections
-        // are open — the shutdown flag is what makes Drop terminate
-        // promptly even with idle connections attached.
+        // Bounded-wait receive: the router (shared by the server and every
+        // pump thread) owns the job senders, so the channel does not
+        // disconnect while connections are open — the shutdown flag is
+        // what makes Drop terminate promptly even with idle connections
+        // attached.
         let job = match rx.recv_timeout(std::time::Duration::from_millis(25)) {
             Ok(job) => job,
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -1141,9 +1234,9 @@ fn worker_main(
         // (floor/snapshot/stats) cannot corrupt state, so their stream
         // survives a panic intact.
         metrics.queue_depth[index].dec();
-        let stream = job.stream;
-        let mutates = op_mutates(&job.op);
-        let op_index = op_metric_index(&job.op);
+        let Job { stream, op, reply, reservation } = job;
+        let mutates = op_mutates(&op);
+        let op_index = op_metric_index(&op);
         let started = Instant::now();
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_job(
@@ -1152,7 +1245,7 @@ fn worker_main(
                 pool_size,
                 index,
                 stream,
-                job.op,
+                op,
                 registry,
                 &durability,
                 metrics,
@@ -1179,7 +1272,12 @@ fn worker_main(
         if let Some(op_index) = op_index {
             metrics.record_op(op_index, started.elapsed());
         }
-        job.reply.send(response);
+        // A fresh name's reservation settles before anyone hears back:
+        // ready on Ok, rolled back otherwise (panics included).
+        if let Some(reservation) = reservation {
+            reservation.settle(&response);
+        }
+        reply.send(response);
     }
     // Drain the durability buffers on the way out: an orderly shutdown
     // should not cost the EveryN/Timer loss window.
@@ -1301,6 +1399,9 @@ fn op_mutates(op: &StreamOp) -> bool {
         // Demote only removes state; a panic mid-removal leaves nothing
         // worth healing (the registry entry is already gone).
         StreamOp::Demote => false,
+        // Shipments touch the replica handler's logs, not this worker's
+        // streams; the handler answers for its own consistency.
+        StreamOp::Replicate(_) => false,
         StreamOp::Floor | StreamOp::Snapshot | StreamOp::Stats => false,
         #[cfg(test)]
         StreamOp::Panic => true,
@@ -1313,9 +1414,9 @@ fn op_metric_index(op: &StreamOp) -> Option<usize> {
     let label = match op {
         StreamOp::Create(..) => "create",
         StreamOp::Restore(..) => "restore",
-        // Promotion and demotion are driven by the mesh, not the wire —
-        // no op label.
-        StreamOp::Adopt(..) | StreamOp::Demote => return None,
+        // Promotion, demotion and shipments are the mesh's traffic, not
+        // client ops — no op label.
+        StreamOp::Adopt(..) | StreamOp::Demote | StreamOp::Replicate(_) => return None,
         StreamOp::Ingest(_) => "ingest",
         StreamOp::Feed(_) => "feed",
         StreamOp::Sample => "sample",
@@ -1408,8 +1509,8 @@ fn wal_before_apply(
 ///
 /// - **fresh + any failure** — the client is told the create failed, so
 ///   nothing may survive it: best-effort delete whatever durable state
-///   the attempt left behind (the registry reservation is rolled back by
-///   the connection thread). Without the purge, the next restart would
+///   the attempt left behind (the worker rolls the registry reservation
+///   back when it settles it). Without the purge, the next restart would
 ///   resurrect a stream that was never acknowledged.
 /// - **replace + `Clean`** — the old incarnation's durable state and
 ///   in-memory stream are both untouched; report the failure and keep
@@ -1488,7 +1589,7 @@ fn install_stream(
 
 /// Runs one routed job against the worker's stream table. Batch buffers
 /// arriving in `op` are recycled into `pool` once consumed; Feed replies
-/// take their outputs buffer from the pool (the connection thread returns
+/// take their outputs buffer from the pool (the connection returns
 /// it after encoding). On a durable server, mutating ops are write-ahead
 /// logged before they touch the sampler, and the log is compacted when it
 /// crosses the configured size.
@@ -1663,20 +1764,54 @@ fn execute_job(
         StreamOp::Stats => match streams.get(&stream) {
             Some(state) => Response::Stats(StreamStats {
                 pipeline: state.stats,
-                busy_rejections: 0, // folded in by the connection thread
+                busy_rejections: 0, // folded in by the connection
                 durability: state
                     .durable
                     .as_ref()
                     .map(DurableStream::current_stats)
                     .unwrap_or_default(),
-                // Folded in by the connection thread from the stream's
+                // Folded in by the connection from the stream's
                 // registered atomics, like busy_rejections.
                 replication: ReplicationStats::default(),
             }),
             None => unknown_stream(),
         },
+        StreamOp::Replicate(_) => unreachable!("shipments run on the replica applier"),
         #[cfg(test)]
         StreamOp::Panic => panic!("test-injected worker panic"),
+    }
+}
+
+/// The replica applier's loop: applies shipments in arrival order (so one
+/// stream's shipments stay in order) and never ships, so it always drains
+/// — see the module docs. Exits like a worker: on disconnect, or at the
+/// shutdown flag.
+fn applier_main(rx: &Receiver<Job>, shutdown: &AtomicBool) {
+    while !shutdown.load(Ordering::Relaxed) {
+        let job = match rx.recv_timeout(std::time::Duration::from_millis(25)) {
+            Ok(job) => job,
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        };
+        let StreamOp::Replicate(shipment) = job.op else {
+            unreachable!("only shipments are queued for the applier")
+        };
+        // A panicking handler costs this shipment an error reply, not the
+        // applier: the replicator treats it like any failed shipment.
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shipment.handler.apply(
+                &shipment.name,
+                shipment.generation,
+                shipment.first_seq,
+                shipment.snapshot.as_deref(),
+                &shipment.records,
+            )
+        }))
+        .unwrap_or_else(|panic| Response::Error {
+            code: ErrorCode::Other,
+            message: format!("replica apply panicked: {}", panic_message(panic.as_ref())),
+        });
+        job.reply.send(response);
     }
 }
 
@@ -1698,89 +1833,40 @@ fn error_response(err: &ServiceError) -> Response {
     Response::Error { code, message: err.to_string() }
 }
 
-/// Serves one connection: frame loop, routing, backpressure. Feed replies
-/// carry a pooled outputs buffer — it is returned to the pool here, after
-/// encoding, which closes the recycling loop the module docs describe.
-fn handle_connection<T: Transport>(
-    mut transport: T,
-    registry: &Registry,
-    senders: &[SyncSender<Job>],
-    pool: &BufferPool,
-    metrics: &ServiceMetrics,
-    replica: &HandlerCell,
-) -> Result<(), ServiceError> {
-    let mut writer = transport.try_clone_transport()?;
-    let mut frame = Vec::new();
-    let mut body = Vec::new();
-    loop {
-        match read_frame(&mut transport, &mut frame) {
-            Ok(true) => {}
-            Ok(false) => return Ok(()), // clean hang-up
-            Err(err) => return Err(err),
-        }
-        // Re-resolved per frame: the mesh installs/clears the handler
-        // while connections are live (e.g. around a promotion).
-        let handler = replica.lock().expect("replica handler lock poisoned").clone();
-        let response = match Request::decode(&frame) {
-            Ok(request) => {
-                route_request(&request, registry, senders, pool, metrics, handler.as_ref())
-            }
-            Err(err) => {
-                // A malformed frame poisons stream framing: answer, close.
-                let response = Response::Error { code: ErrorCode::Other, message: err.to_string() };
-                response.encode(&mut body);
-                let _ = write_frame(&mut writer, &body);
-                return Err(err);
-            }
-        };
-        encode_bounded(&response, &mut body);
-        if let Response::Fed { outputs, .. } = response {
-            pool.put(outputs); // encoded into `body`; the buffer recycles
-        }
-        write_frame(&mut writer, &body)?;
-    }
-}
-
-/// Encodes `response` into `body`, downgrading an encoding too large to
-/// frame (e.g. the snapshot of an Exact-estimator stream with tens of
-/// millions of distinct identifiers) into an application error — the peer
-/// gets a reply either way, never a killed connection.
-pub(crate) fn encode_bounded(response: &Response, body: &mut Vec<u8>) {
-    // A snapshot is the one response whose size is unbounded (batches are
-    // capped, everything else is fixed-width): reject it *before* copying
-    // hundreds of megabytes into the connection's long-lived buffer just
-    // to measure them. 6 bytes: version, opcode, u32 blob length.
-    if let Response::Snapshot(bytes) = response {
-        if bytes.len() + 6 > MAX_FRAME_LEN {
-            let message =
-                format!("{}-byte snapshot exceeds the {MAX_FRAME_LEN}-byte frame cap", bytes.len());
-            Response::Error { code: ErrorCode::Other, message }.encode(body);
-            return;
-        }
-    }
-    response.encode(body);
-    if body.len() > MAX_FRAME_LEN {
-        let message =
-            format!("{}-byte response exceeds the {MAX_FRAME_LEN}-byte frame cap", body.len());
-        Response::Error { code: ErrorCode::Other, message }.encode(body);
-    }
-}
-
-/// One routed request, resolved by [`route_prepare`] on whichever thread
-/// owns the connection — a blocking connection thread or the reactor.
-/// Splitting routing from the wait is what lets the reactor reuse every
-/// routing rule (and so every exactness property) without blocking.
+/// One routed request: answered on the spot, or a worker job.
 pub(crate) enum Routed {
     /// Answer immediately — no worker involved.
     Immediate(Response),
-    /// Enqueue `op` on `entry`'s owning worker. `fold` marks a Stats
-    /// reply whose connection-side counters the router folds in via
-    /// [`fold_stats`] once the reply arrives.
-    Enqueue { entry: StreamEntry, op: StreamOp, fold: bool },
-    /// Create/restore: a blocking two-phase round-trip (registry
-    /// reservation, worker confirm, rollback on failure) via
-    /// [`blocking_route`].
-    Blocking { replace: bool, op: StreamOp },
+    /// Hand to a worker; the reply comes back through the [`ReplyTo`]
+    /// the driver passes to [`Router::submit`].
+    Dispatch(Dispatch),
+}
+
+/// A worker-bound request: the job to enqueue and where it goes.
+pub(crate) struct Dispatch {
+    op: StreamOp,
+    /// The target stream's routing entry: it names the owning worker, a
+    /// Busy bounce counts against it, and a Stats reply folds its counters
+    /// ([`Dispatch::stats_entry`]). `None` for a shipment, which targets no
+    /// registered stream and goes to the replica applier.
+    entry: Option<StreamEntry>,
+    reservation: Option<Reservation>,
+}
+
+impl Dispatch {
+    /// `op` on the stream behind `entry`.
+    fn to(entry: StreamEntry, op: StreamOp) -> Self {
+        Self { op, entry: Some(entry), reservation: None }
+    }
+
+    /// The entry whose connection-side counters the reply must fold in
+    /// ([`fold_stats`]): present for Stats requests only.
+    pub(crate) fn stats_entry(&self) -> Option<StreamEntry> {
+        match self.op {
+            StreamOp::Stats => self.entry.clone(),
+            _ => None,
+        }
+    }
 }
 
 /// Folds the stream's connection-side counters (busy rejections, the
@@ -1801,307 +1887,222 @@ pub(crate) fn fold_stats(response: Response, entry: &StreamEntry) -> Response {
     }
 }
 
-/// Runs a [`Routed::Blocking`] create/restore through the two-phase
-/// reservation protocol. Blocking by design — creation is rare and its
-/// rollback correctness leans on the synchronous round-trip.
-pub(crate) fn blocking_route(
-    registry: &Registry,
-    senders: &[SyncSender<Job>],
-    pool: &BufferPool,
-    metrics: &ServiceMetrics,
-    replace: bool,
-    op: StreamOp,
-) -> Response {
-    let name = match &op {
-        StreamOp::Create(name, _) | StreamOp::Restore(name, _) => name.clone(),
-        _ => unreachable!("only create/restore route blocking"),
-    };
-    create_or_restore(registry, senders, &name, replace, pool, metrics, move || op)
-}
-
-fn route_request(
-    request: &Request<'_>,
-    registry: &Registry,
-    senders: &[SyncSender<Job>],
-    pool: &BufferPool,
-    metrics: &ServiceMetrics,
-    replica: Option<&Arc<dyn ReplicaHandler>>,
-) -> Response {
-    match route_prepare(request, registry, pool, metrics, replica) {
-        Routed::Immediate(response) => response,
-        Routed::Enqueue { entry, op, fold } => {
-            let response = enqueue(senders, &entry, op, pool, metrics);
-            if fold {
-                fold_stats(response, &entry)
-            } else {
-                response
-            }
+impl Router {
+    /// Resolves one decoded request: immediate answers are produced here
+    /// (metrics, validation, NotPrimary bounces, unknown/pending streams);
+    /// worker-bound ops come back with their route resolved and their
+    /// payload copied off the frame (batches into pooled buffers).
+    pub(crate) fn route(&self, request: &Request<'_>) -> Routed {
+        // Metrics targets no stream and reads only atomics — answered right
+        // here, before the name validation below (its stream name is empty
+        // by design), never enqueued to a worker.
+        if let Request::Metrics = request {
+            return Routed::Immediate(Response::Metrics(self.metrics.render()));
         }
-        Routed::Blocking { replace, op } => {
-            blocking_route(registry, senders, pool, metrics, replace, op)
+        let name = request.stream_name();
+        if name.is_empty() || name.len() > MAX_STREAM_NAME_LEN {
+            return Routed::Immediate(Response::Error {
+                code: ErrorCode::InvalidConfig,
+                message: format!("stream name must be 1..={MAX_STREAM_NAME_LEN} bytes"),
+            });
         }
-    }
-}
-
-/// Resolves one decoded request into a [`Routed`] decision: immediate
-/// answers are produced here (metrics, validation, replication shipments,
-/// NotPrimary bounces, unknown/pending streams); worker-bound ops come
-/// back with their route resolved and the batch already copied into a
-/// pooled buffer.
-pub(crate) fn route_prepare(
-    request: &Request<'_>,
-    registry: &Registry,
-    pool: &BufferPool,
-    metrics: &ServiceMetrics,
-    replica: Option<&Arc<dyn ReplicaHandler>>,
-) -> Routed {
-    // Metrics targets no stream and reads only atomics — answered right
-    // here on the connection thread, before the name validation below
-    // (its stream name is empty by design), never enqueued to a worker.
-    if let Request::Metrics = request {
-        return Routed::Immediate(Response::Metrics(metrics.render()));
-    }
-    let name = request.stream_name();
-    if name.is_empty() || name.len() > MAX_STREAM_NAME_LEN {
-        return Routed::Immediate(Response::Error {
-            code: ErrorCode::InvalidConfig,
-            message: format!("stream name must be 1..={MAX_STREAM_NAME_LEN} bytes"),
-        });
-    }
-    // Shipments go to the replica handler, never to a worker: replica
-    // streams live outside the registry (they must not serve reads
-    // mid-catch-up), and the handler owns their WALs.
-    if let Request::Replicate { generation, first_seq, snapshot, records, .. } = request {
-        return Routed::Immediate(match replica {
-            Some(handler) => handler.apply(name, *generation, *first_seq, *snapshot, records),
-            None => Response::Error {
-                code: ErrorCode::Other,
-                message: "node accepts no replication shipments".into(),
-            },
-        });
-    }
-    // Data ops on a replica-held stream bounce *before* routing: the name
-    // is absent from the registry by design, and answering UnknownStream
-    // would send clients re-creating a stream that is alive elsewhere.
-    // NotPrimary is unambiguous — nothing was applied — so clients fail
-    // over without a position resync.
-    if let Some(handler) = replica {
-        if handler.holds(name) {
+        // Re-resolved per request: the mesh installs/clears the handler
+        // while connections are live (e.g. around a promotion).
+        let handler = self.replica_handler.lock().expect("replica handler lock poisoned").clone();
+        // Shipments go to the replica handler, never to a registered
+        // stream: replica streams live outside the registry (they must not
+        // serve reads mid-catch-up), and the handler owns their WALs.
+        if let Request::Replicate { generation, first_seq, snapshot, records, .. } = request {
+            let Some(handler) = handler else {
+                return Routed::Immediate(Response::Error {
+                    code: ErrorCode::Other,
+                    message: "node accepts no replication shipments".into(),
+                });
+            };
+            let shipment = Shipment {
+                handler,
+                name: name.to_string(),
+                generation: *generation,
+                first_seq: *first_seq,
+                snapshot: snapshot.map(<[u8]>::to_vec),
+                records: records.to_vec(),
+            };
+            let op = StreamOp::Replicate(Box::new(shipment));
+            return Routed::Dispatch(Dispatch { op, entry: None, reservation: None });
+        }
+        // Data ops on a replica-held stream bounce *before* routing: the
+        // name is absent from the registry by design, and answering
+        // UnknownStream would send clients re-creating a stream that is
+        // alive elsewhere. NotPrimary is unambiguous — nothing was applied
+        // — so clients fail over without a position resync.
+        if handler.is_some_and(|handler| handler.holds(name)) {
             return Routed::Immediate(Response::Error {
                 code: ErrorCode::NotPrimary,
                 message: format!("stream {name:?} is held as a replica on this node"),
             });
         }
-    }
-    // Batches are capped below the frame limit so the echoed Fed reply
-    // provably fits a frame too (see [`MAX_BATCH_IDS`]).
-    if let Request::Ingest { ids, .. } | Request::FeedBatch { ids, .. } = request {
-        if ids.len() > MAX_BATCH_IDS {
-            return Routed::Immediate(Response::Error {
-                code: ErrorCode::InvalidConfig,
-                message: format!(
-                    "batch of {} identifiers exceeds the {MAX_BATCH_IDS}-identifier cap",
-                    ids.len()
-                ),
-            });
+        // Batches are capped below the frame limit so the echoed Fed reply
+        // provably fits a frame too (see [`MAX_BATCH_IDS`]).
+        if let Request::Ingest { ids, .. } | Request::FeedBatch { ids, .. } = request {
+            if ids.len() > MAX_BATCH_IDS {
+                return Routed::Immediate(Response::Error {
+                    code: ErrorCode::InvalidConfig,
+                    message: format!(
+                        "batch of {} identifiers exceeds the {MAX_BATCH_IDS}-identifier cap",
+                        ids.len()
+                    ),
+                });
+            }
+        }
+        let op = match request {
+            Request::Metrics | Request::Replicate { .. } => unreachable!("answered above"),
+            Request::CreateStream { config, .. } => {
+                return self.reserve(name, false, || StreamOp::Create(name.to_string(), *config))
+            }
+            Request::Restore { snapshot, .. } => {
+                return self
+                    .reserve(name, true, || StreamOp::Restore(name.to_string(), snapshot.to_vec()))
+            }
+            // Batch ops: resolve the route BEFORE copying the ids off the
+            // frame, so unknown/pending streams cost no copy. The batch
+            // buffer comes from the pool — the owning worker returns it
+            // once the batch is fed (a Busy bounce recycles it).
+            Request::Ingest { ids, .. } | Request::FeedBatch { ids, .. } => {
+                let entry = match self.lookup_ready(name) {
+                    Ok(entry) => entry,
+                    Err(response) => return Routed::Immediate(response),
+                };
+                let mut batch = self.pool.take();
+                ids.copy_into(&mut batch);
+                let op = match request {
+                    Request::Ingest { .. } => StreamOp::Ingest(batch),
+                    _ => StreamOp::Feed(batch),
+                };
+                return Routed::Dispatch(Dispatch::to(entry, op));
+            }
+            Request::Sample { .. } => StreamOp::Sample,
+            Request::FloorEstimate { .. } => StreamOp::Floor,
+            Request::Snapshot { .. } => StreamOp::Snapshot,
+            Request::Stats { .. } => StreamOp::Stats,
+        };
+        match self.lookup_ready(name) {
+            Ok(entry) => Routed::Dispatch(Dispatch::to(entry, op)),
+            Err(response) => Routed::Immediate(response),
         }
     }
-    match request {
-        Request::Metrics | Request::Replicate { .. } => unreachable!("answered above"),
-        Request::CreateStream { config, .. } => {
-            Routed::Blocking { replace: false, op: StreamOp::Create(name.to_string(), *config) }
-        }
-        Request::Restore { snapshot, .. } => Routed::Blocking {
-            replace: true,
-            op: StreamOp::Restore(name.to_string(), snapshot.to_vec()),
-        },
-        // Batch ops: resolve the route BEFORE copying the ids off the
-        // frame, so unknown/pending streams cost no copy. The batch buffer
-        // comes from the pool — the owning worker returns it once the
-        // batch is fed. (A Busy bounce still pays one copy - knowing the
-        // queue is full takes the built job - but `enqueue` recycles the
-        // bounced buffer.)
-        Request::Ingest { ids, .. } => match lookup_ready(registry, name) {
-            Ok(entry) => {
-                let mut batch = pool.take();
-                ids.copy_into(&mut batch);
-                Routed::Enqueue { entry, op: StreamOp::Ingest(batch), fold: false }
-            }
-            Err(response) => Routed::Immediate(response),
-        },
-        Request::FeedBatch { ids, .. } => match lookup_ready(registry, name) {
-            Ok(entry) => {
-                let mut batch = pool.take();
-                ids.copy_into(&mut batch);
-                Routed::Enqueue { entry, op: StreamOp::Feed(batch), fold: false }
-            }
-            Err(response) => Routed::Immediate(response),
-        },
-        Request::Sample { .. } => route_lookup(registry, name, StreamOp::Sample),
-        Request::FloorEstimate { .. } => route_lookup(registry, name, StreamOp::Floor),
-        Request::Snapshot { .. } => route_lookup(registry, name, StreamOp::Snapshot),
-        // Stats replies are folded with the stream's connection-side
-        // counters once the worker answers (see [`fold_stats`]).
-        Request::Stats { .. } => match lookup_ready(registry, name) {
-            Ok(entry) => Routed::Enqueue { entry, op: StreamOp::Stats, fold: true },
-            Err(response) => Routed::Immediate(response),
-        },
-    }
-}
 
-/// Routes a no-payload worker op through the ready-entry lookup.
-fn route_lookup(registry: &Registry, name: &str, op: StreamOp) -> Routed {
-    match lookup_ready(registry, name) {
-        Ok(entry) => Routed::Enqueue { entry, op, fold: false },
-        Err(response) => Routed::Immediate(response),
-    }
-}
-
-/// Routes create/restore. The registry lock is held only long enough to
-/// resolve or reserve the entry — the blocking round-trip to the owning
-/// worker runs **unlocked**, so a slow create/restore (big snapshot blob,
-/// deep queue) cannot stall requests to other streams. A freshly reserved
-/// entry stays `ready = false` until the worker confirms; concurrent
-/// requests on the name bounce with Busy in the meantime and a failed
-/// creation rolls the reservation back.
-fn create_or_restore(
-    registry: &Registry,
-    senders: &[SyncSender<Job>],
-    name: &str,
-    replace_existing: bool,
-    pool: &BufferPool,
-    metrics: &ServiceMetrics,
-    make_op: impl FnOnce() -> StreamOp,
-) -> Response {
-    // Phase 1 (locked): resolve the existing entry or reserve a pending one.
-    let (entry, reserved) = {
-        let mut streams = registry.streams.lock().expect("registry lock poisoned");
-        match streams.get(name) {
-            Some(entry) if !entry.ready.load(Ordering::Acquire) => return Response::Busy,
-            Some(entry) if replace_existing => (entry.clone(), false),
-            Some(_) => {
-                return Response::Error {
-                    code: ErrorCode::StreamExists,
-                    message: format!("stream {name:?} already exists"),
+    /// Phase 1 of create/restore/adopt: under the registry lock, resolve
+    /// the existing entry (`replace`) or reserve a pending one. The job
+    /// itself runs unlocked on the owning worker, which settles the
+    /// [`Reservation`] before replying; concurrent requests on the name
+    /// bounce with Busy meanwhile.
+    pub(crate) fn reserve(
+        &self,
+        name: &str,
+        replace: bool,
+        make_op: impl FnOnce() -> StreamOp,
+    ) -> Routed {
+        let (entry, fresh) = {
+            let mut streams = self.registry.streams.lock().expect("registry lock poisoned");
+            match streams.get(name) {
+                Some(entry) if !entry.ready.load(Ordering::Acquire) => {
+                    return Routed::Immediate(Response::Busy)
+                }
+                Some(entry) if replace => (entry.clone(), false),
+                Some(_) => {
+                    return Routed::Immediate(Response::Error {
+                        code: ErrorCode::StreamExists,
+                        message: format!("stream {name:?} already exists"),
+                    })
+                }
+                None => {
+                    let next = self.registry.next_worker.fetch_add(1, Ordering::Relaxed);
+                    let entry = StreamEntry {
+                        worker: (next as usize) % self.senders.len(),
+                        id: self.registry.next_id.fetch_add(1, Ordering::Relaxed),
+                        busy: self.metrics.stream_busy(name),
+                        replication: self.metrics.stream_replication(name),
+                        ready: Arc::new(AtomicBool::new(false)),
+                    };
+                    streams.insert(name.to_string(), entry.clone());
+                    (entry, true)
                 }
             }
-            None => {
-                let worker =
-                    (registry.next_worker.fetch_add(1, Ordering::Relaxed) as usize) % senders.len();
-                let id = registry.next_id.fetch_add(1, Ordering::Relaxed);
-                let entry = StreamEntry {
-                    worker,
-                    id,
-                    busy: metrics.stream_busy(name),
-                    replication: metrics.stream_replication(name),
-                    ready: Arc::new(AtomicBool::new(false)),
-                };
-                streams.insert(name.to_string(), entry.clone());
-                (entry, true)
+        };
+        let mut dispatch = Dispatch::to(entry.clone(), make_op());
+        if fresh {
+            dispatch.reservation = Some(Reservation {
+                registry: Arc::clone(&self.registry),
+                metrics: Arc::clone(&self.metrics),
+                name: name.to_string(),
+                entry,
+            });
+        }
+        Routed::Dispatch(dispatch)
+    }
+
+    /// Looks a stream up for a non-create operation: unknown names error,
+    /// entries still being created bounce with Busy.
+    fn lookup_ready(&self, name: &str) -> Result<StreamEntry, Response> {
+        let streams = self.registry.streams.lock().expect("registry lock poisoned");
+        match streams.get(name) {
+            Some(entry) if entry.ready.load(Ordering::Acquire) => Ok(entry.clone()),
+            Some(_) => Err(Response::Busy),
+            None => Err(Response::Error {
+                code: ErrorCode::UnknownStream,
+                message: format!("unknown stream {name:?}"),
+            }),
+        }
+    }
+
+    /// Non-blocking enqueue on the owning worker (a shipment: on the
+    /// replica applier). `Some(response)` is an immediate bounce (full
+    /// queue → Busy, the backpressure contract; shutdown), `None` means
+    /// the job is queued and `reply` will be answered. A bounced job's
+    /// batch buffer recycles into the pool and its reservation, if any,
+    /// rolls back.
+    pub(crate) fn submit(&self, dispatch: Dispatch, reply: ReplyTo) -> Option<Response> {
+        let Dispatch { op, entry, reservation } = dispatch;
+        let Some(entry) = entry else {
+            // A shipment: unbounded by design (see the module docs).
+            let job = Job { stream: 0, op, reply, reservation };
+            let sent = self.applier.as_ref().is_some_and(|applier| applier.send(job).is_ok());
+            return (!sent).then(shutting_down);
+        };
+        let (worker, job) = (entry.worker, Job { stream: entry.id, op, reply, reservation });
+        let (job, response) = match self.senders[worker].try_send(job) {
+            Ok(()) => {
+                // Incremented after the send (the worker decrements on
+                // receive), so the depth gauge may transiently read -1 —
+                // approximate by design, never drifting.
+                self.metrics.queue_depth[worker].inc();
+                return None;
             }
-        }
-    };
-    // Phase 2 (unlocked): the blocking round-trip to the owning worker.
-    let response = enqueue(senders, &entry, make_op(), pool, metrics);
-    if reserved {
-        if matches!(response, Response::Ok) {
-            entry.ready.store(true, Ordering::Release);
-        } else {
-            // Roll back our own reservation (matched by id, in case the
-            // name was re-created in the meantime — it cannot be while we
-            // hold the pending entry, but stay defensive).
-            let mut streams = registry.streams.lock().expect("registry lock poisoned");
-            if streams.get(name).is_some_and(|e| e.id == entry.id) {
-                streams.remove(name);
-                drop(streams);
-                // The worker may have registered this stream's series
-                // before the create failed; a rolled-back name must not
-                // keep exporting.
-                metrics.remove_stream(name);
+            Err(TrySendError::Full(job)) => {
+                entry.busy.inc();
+                (job, Response::Busy)
             }
+            Err(TrySendError::Disconnected(job)) => (job, shutting_down()),
+        };
+        if let StreamOp::Ingest(ids) | StreamOp::Feed(ids) = job.op {
+            self.pool.put(ids);
         }
+        Some(response)
     }
-    response
-}
 
-/// Looks a stream up for a non-create operation: unknown names error,
-/// entries still being created bounce with Busy.
-fn lookup_ready(registry: &Registry, name: &str) -> Result<StreamEntry, Response> {
-    let streams = registry.streams.lock().expect("registry lock poisoned");
-    match streams.get(name) {
-        Some(entry) if entry.ready.load(Ordering::Acquire) => Ok(entry.clone()),
-        Some(_) => Err(Response::Busy),
-        None => Err(Response::Error {
-            code: ErrorCode::UnknownStream,
-            message: format!("unknown stream {name:?}"),
-        }),
-    }
-}
-
-/// Recycles the identifier buffer of a job that never reached a worker
-/// (Busy bounce, shutdown race) back into the pool.
-fn recycle_job(pool: &BufferPool, job: Job) {
-    if let StreamOp::Ingest(ids) | StreamOp::Feed(ids) = job.op {
-        pool.put(ids);
+    /// [`Router::submit`], then a blocking wait for the reply. The reply
+    /// channel is created per request and its **only** sender moves into
+    /// the job: a job dropped unanswered (worker exit at shutdown) drops
+    /// the sender with it, so the wait can never be stranded.
+    pub(crate) fn call(&self, dispatch: Dispatch) -> Response {
+        let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
+        self.submit(dispatch, ReplyTo::Channel(reply_tx))
+            .unwrap_or_else(|| reply_rx.recv().unwrap_or_else(|_| shutting_down()))
     }
 }
 
-/// Non-blocking enqueue on the owning worker, then a blocking wait for
-/// the reply: a full queue is an immediate [`Response::Busy`] — the
-/// backpressure contract.
-///
-/// The reply channel is created per request and its **only** sender moves
-/// into the job: if the job is dropped unanswered anywhere (worker exits
-/// on shutdown with the queue non-empty, channel torn down), the sender
-/// drops with it and `recv()` returns `Err` — so a connection thread can
-/// never be stranded waiting on a reply that will not come.
-fn enqueue(
-    senders: &[SyncSender<Job>],
-    entry: &StreamEntry,
-    op: StreamOp,
-    pool: &BufferPool,
-    metrics: &ServiceMetrics,
-) -> Response {
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
-    match try_enqueue(senders, entry, op, pool, metrics, ReplyTo::Channel(reply_tx)) {
-        Some(response) => response,
-        None => reply_rx.recv().unwrap_or_else(|_| Response::Error {
-            code: ErrorCode::Other,
-            message: "server shutting down".into(),
-        }),
-    }
-}
-
-/// The enqueue itself, shared by the blocking path and the reactor:
-/// `Some(response)` is an immediate bounce (full queue → Busy, shutdown),
-/// `None` means the job is with the worker and `reply` will be answered.
-pub(crate) fn try_enqueue(
-    senders: &[SyncSender<Job>],
-    entry: &StreamEntry,
-    op: StreamOp,
-    pool: &BufferPool,
-    metrics: &ServiceMetrics,
-    reply: ReplyTo,
-) -> Option<Response> {
-    let job = Job { stream: entry.id, op, reply };
-    match senders[entry.worker].try_send(job) {
-        Ok(()) => {
-            // Incremented after the send (the worker decrements on
-            // receive), so the depth gauge may transiently read -1 —
-            // approximate by design, never drifting.
-            metrics.queue_depth[entry.worker].inc();
-            None
-        }
-        Err(TrySendError::Full(job)) => {
-            recycle_job(pool, job);
-            entry.busy.inc();
-            Some(Response::Busy)
-        }
-        Err(TrySendError::Disconnected(job)) => {
-            recycle_job(pool, job);
-            Some(Response::Error { code: ErrorCode::Other, message: "server shutting down".into() })
-        }
-    }
+fn shutting_down() -> Response {
+    Response::Error { code: ErrorCode::Other, message: "server shutting down".into() }
 }
 
 #[cfg(test)]
@@ -2278,14 +2279,18 @@ mod tests {
         // Inject a job that panics inside the worker, addressed at the
         // victim stream (a mutating op, so isolation tears it down).
         let (worker, id) = {
-            let streams = server.registry.streams.lock().unwrap();
+            let streams = server.router.registry.streams.lock().unwrap();
             let entry = streams.get("victim").unwrap();
             (entry.worker, entry.id)
         };
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        server.senders[worker]
-            .send(Job { stream: id, op: StreamOp::Panic, reply: ReplyTo::Channel(reply_tx) })
-            .unwrap();
+        let job = Job {
+            stream: id,
+            op: StreamOp::Panic,
+            reply: ReplyTo::Channel(reply_tx),
+            reservation: None,
+        };
+        server.router.senders[worker].send(job).unwrap();
         match reply_rx.recv().unwrap() {
             Response::Error { code: ErrorCode::Other, message } => {
                 assert!(message.contains("panicked"), "unexpected message: {message}");
@@ -2300,27 +2305,6 @@ mod tests {
         // The worker thread and its other streams survived untouched.
         assert!(client.sample("bystander").unwrap().is_some());
         assert_eq!(client.stats("bystander").unwrap().pipeline.elements, 100);
-    }
-
-    #[test]
-    fn oversized_response_is_downgraded_to_an_error() {
-        // A snapshot can legitimately outgrow the frame cap (an Exact
-        // stream with enough distinct ids). The connection must answer
-        // with an application error, not die writing an unframeable reply.
-        let response = Response::Snapshot(vec![0u8; MAX_FRAME_LEN]);
-        let mut body = Vec::new();
-        encode_bounded(&response, &mut body);
-        assert!(body.len() <= MAX_FRAME_LEN);
-        match Response::decode(&body).unwrap() {
-            Response::Error { code: ErrorCode::Other, message } => {
-                assert!(message.contains("frame cap"), "unexpected message: {message}");
-            }
-            other => panic!("expected a frame-cap error, got {other:?}"),
-        }
-        // A response that fits passes through untouched.
-        let mut small = Vec::new();
-        encode_bounded(&Response::Ok, &mut small);
-        assert_eq!(Response::decode(&small).unwrap(), Response::Ok);
     }
 
     #[test]
@@ -2508,14 +2492,18 @@ mod tests {
         // succeed, then panic the worker mid-op: the stream is lost.
         backend.write_snapshot("doomed", b"garbage").unwrap();
         let (worker, id) = {
-            let streams = server.registry.streams.lock().unwrap();
+            let streams = server.router.registry.streams.lock().unwrap();
             let entry = streams.get("doomed").unwrap();
             (entry.worker, entry.id)
         };
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        server.senders[worker]
-            .send(Job { stream: id, op: StreamOp::Panic, reply: ReplyTo::Channel(reply_tx) })
-            .unwrap();
+        let job = Job {
+            stream: id,
+            op: StreamOp::Panic,
+            reply: ReplyTo::Channel(reply_tx),
+            reservation: None,
+        };
+        server.router.senders[worker].send(job).unwrap();
         assert!(matches!(reply_rx.recv().unwrap(), Response::Error { code: ErrorCode::Other, .. }));
         // Runtime view: unknown. The teardown purged the backend too, so
         // the durable view agrees and a restart does not resurrect the
@@ -2573,12 +2561,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_accepts_tcp_connections() {
+    fn pump_fallback_accepts_tcp_connections() {
+        // The accept loop `serve_reactor` falls back to where the poller
+        // is unsupported, exercised directly.
         let server = Server::start(ServerConfig { workers: 2, queue_depth: 16 });
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::scope(|scope| {
-            scope.spawn(|| server.serve(listener).unwrap());
+            scope.spawn(|| server.serve_pumps(listener).unwrap());
             let stream = std::net::TcpStream::connect(addr).unwrap();
             stream.set_nodelay(true).unwrap();
             let mut client = ServiceClient::new(stream).unwrap();

@@ -3,7 +3,7 @@
 //! PR 3 left one per-batch allocation proportional to the batch size on
 //! the Feed path: the worker cloned its outputs buffer into every reply.
 //! The buffer pool removed it — request-id buffers and reply-output
-//! buffers now cycle between connection threads and workers. This test
+//! buffers now cycle between connections and workers. This test
 //! pins the property with a counting global allocator: after warm-up, a
 //! long feed session allocates a small *constant* number of bytes per
 //! batch (reply-channel plumbing), not O(batch).
@@ -16,11 +16,14 @@
 //! per-stream pipeline counters, floor gauge, queue-depth gauge), so the
 //! windows above now pin the *instrumented* path. A second test isolates
 //! the instrumentation primitives themselves and pins them to literally
-//! zero bytes per update.
+//! zero bytes per update. It counts only its own thread's allocations:
+//! the test harness formats the sibling test's output on another thread
+//! while it runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use uns_core::NodeId;
 use uns_service::protocol::Request;
 use uns_service::transport::Transport;
@@ -29,14 +32,32 @@ use uns_service::{EstimatorKind, HashFamilyKind, Server, ServerConfig, StreamCon
 
 struct CountingAllocator;
 
+/// Bytes allocated by every thread.
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes allocated by threads that set [`COUNT_THIS_THREAD`].
+static THREAD_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Marks the thread whose allocations [`THREAD_BYTES`] counts.
+    /// `const`-initialised and drop-free, so reading it from inside the
+    /// allocator never allocates.
+    static COUNT_THIS_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    if COUNT_THIS_THREAD.try_with(Cell::get).unwrap_or(false) {
+        THREAD_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: delegates every operation to the system allocator unchanged;
-// the byte counter is a side effect with no influence on the returned
+// the byte counters are a side effect with no influence on the returned
 // memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -45,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,9 +74,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Both tests read the global allocation counter, so they must not run
-/// concurrently — the server test's worker threads would pollute the
-/// zero-byte measurement.
+/// The two tests must not run concurrently: the per-batch test counts
+/// every thread's allocations. A failure in one must not fail the other
+/// through a poisoned lock, so both take it past poisoning.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Sends one pre-encoded frame and reads the reply into a reused buffer,
@@ -90,7 +111,7 @@ fn measure_window<R: std::io::Read, W: std::io::Write>(
 
 #[test]
 fn long_feed_session_does_not_allocate_per_batch_proportionally() {
-    let _serial = SERIAL.lock().expect("serial lock");
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let server = Server::start(ServerConfig { workers: 1, queue_depth: 16 });
     let mut transport = server.connect_in_process();
     let mut writer = transport.try_clone_transport().expect("clone transport");
@@ -144,7 +165,7 @@ fn long_feed_session_does_not_allocate_per_batch_proportionally() {
 /// allocations up front; steady state is pure relaxed atomics.
 #[test]
 fn metrics_hot_path_allocates_zero_bytes_per_update() {
-    let _serial = SERIAL.lock().expect("serial lock");
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let registry = uns_metrics::MetricsRegistry::new();
     let counter = registry.counter("uns_test_total", "Counter under test.", &[("stream", "s")]);
     let gauge = registry.gauge("uns_test_gauge", "Gauge under test.", &[("stream", "s")]);
@@ -157,7 +178,8 @@ fn metrics_hot_path_allocates_zero_bytes_per_update() {
         trace.push(uns_metrics::TraceKind::FloorSample, &stream, i, i);
     }
 
-    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    COUNT_THIS_THREAD.with(|flag| flag.set(true));
+    let before = THREAD_BYTES.load(Ordering::Relaxed);
     for i in 0..10_000u64 {
         counter.add(7);
         gauge.set_u64(i);
@@ -166,7 +188,8 @@ fn metrics_hot_path_allocates_zero_bytes_per_update() {
             trace.push(uns_metrics::TraceKind::FloorSample, &stream, i, i);
         }
     }
-    let allocated = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let allocated = THREAD_BYTES.load(Ordering::Relaxed) - before;
+    COUNT_THIS_THREAD.with(|flag| flag.set(false));
     assert_eq!(
         allocated, 0,
         "metrics hot path allocated {allocated} bytes over 10k updates; it must be atomics only"

@@ -1,6 +1,6 @@
-//! End-to-end exactness of the networked service — the PR's acceptance
-//! property. Driving a workload through the service (any connection
-//! count, in-process pipe or real TCP) must leave sampler memory,
+//! End-to-end exactness of the networked service. Driving a workload
+//! through the service (any connection count, in-process pipe or reactor
+//! TCP — both run the same connection core) must leave sampler memory,
 //! estimator cells and RNG state **bit-equal** to a sequential in-process
 //! `feed` of the same stream order; and snapshot → restore → feed must be
 //! bit-equal to never having stopped.
@@ -140,83 +140,17 @@ fn concurrent_service_feed_is_bit_equal_to_sequential_feed() {
     }
 }
 
-/// Same exactness over real TCP sockets (reduced size — localhost
-/// round-trips dominate): the transport must not change a single bit.
-#[test]
-fn tcp_service_feed_is_bit_equal_to_sequential_feed() {
-    let len = scale(200_000, 30_000);
-    let stream: Vec<NodeId> =
-        IdStream::new(peak_attack_distribution(5_000).unwrap(), 9).take(len).collect();
-    let config = test_config(EstimatorKind::CountMin);
-    let server = Server::start(ServerConfig { workers: 2, queue_depth: 32 });
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.serve(listener).unwrap());
-        let connect = || {
-            let stream = std::net::TcpStream::connect(addr).unwrap();
-            stream.set_nodelay(true).unwrap();
-            stream
-        };
-        let mut client = ServiceClient::new(connect()).unwrap();
-        client.create_stream("tcp", &config).unwrap();
-        // Two concurrent TCP connections.
-        let served = Mutex::new(Vec::new());
-        let half = stream.len().div_ceil(2);
-        std::thread::scope(|inner| {
-            for slice in stream.chunks(half) {
-                inner.spawn(|| {
-                    let mut client = ServiceClient::new(connect()).unwrap();
-                    for batch in slice.chunks(2048) {
-                        let ack = loop {
-                            match client.feed_batch("tcp", batch) {
-                                Ok(ack) => break ack,
-                                Err(uns_service::ServiceError::Busy) => {}
-                                Err(err) => panic!("feed failed: {err}"),
-                            }
-                        };
-                        served.lock().unwrap().push(ServedBatch {
-                            position: ack.position,
-                            ids: batch.to_vec(),
-                            outputs: ack.outputs,
-                        });
-                    }
-                });
-            }
-        });
-        let mut served = served.into_inner().unwrap();
-        served.sort_by_key(|batch| batch.position);
-
-        let mut reference = ServiceSampler::create(&config).unwrap();
-        let mut expected = Vec::new();
-        for batch in &served {
-            expected.clear();
-            reference.feed_batch(&batch.ids, &mut expected);
-            assert_eq!(batch.outputs, expected);
-        }
-        let service_blob = client.snapshot("tcp").unwrap();
-        let mut reference_blob = Vec::new();
-        reference.snapshot(&mut reference_blob);
-        assert_eq!(service_blob, reference_blob);
-        server.stop();
-    });
-}
-
-/// The headline exactness through the readiness reactor: the same
-/// million-element adversarial stream over four concurrent TCP
-/// connections served by **one reactor thread** must be bit-equal to
-/// sequential in-process feeding of the served order. The reactor is a
-/// different front door to the same workers — if it changes a single
-/// bit, this fails.
+/// The headline exactness over TCP, where every connection is driven by
+/// **one reactor thread**: adversarial streams over two and four
+/// concurrent connections must be bit-equal to sequential in-process
+/// feeding of the served order. The reactor is a different front door to
+/// the same workers — if it changes a single bit, this fails.
 #[test]
 fn reactor_service_feed_is_bit_equal_to_sequential_feed() {
     if !epoll::supported() {
         eprintln!("skipping: the vendored epoll poller is unsupported on this platform");
         return;
     }
-    let len = scale(1_000_000, 60_000);
-    let stream: Vec<NodeId> =
-        IdStream::new(peak_attack_distribution(10_000).unwrap(), 13).take(len).collect();
     let config = test_config(EstimatorKind::CountMin);
     let server = Server::start(ServerConfig { workers: 2, queue_depth: 32 });
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -231,48 +165,43 @@ fn reactor_service_feed_is_bit_equal_to_sequential_feed() {
             stream
         };
         let mut client = ServiceClient::new(connect()).unwrap();
-        client.create_stream("reactor", &config).unwrap();
-        let served = Mutex::new(Vec::new());
-        let quarter = stream.len().div_ceil(4);
-        std::thread::scope(|inner| {
-            for slice in stream.chunks(quarter) {
-                inner.spawn(|| {
-                    let mut client = ServiceClient::new(connect()).unwrap();
-                    for batch in slice.chunks(2048) {
-                        let ack = loop {
-                            match client.feed_batch("reactor", batch) {
-                                Ok(ack) => break ack,
-                                Err(uns_service::ServiceError::Busy) => {}
-                                Err(err) => panic!("feed failed: {err}"),
-                            }
-                        };
-                        assert_eq!(ack.outputs.len(), batch.len());
-                        served.lock().unwrap().push(ServedBatch {
-                            position: ack.position,
-                            ids: batch.to_vec(),
-                            outputs: ack.outputs,
-                        });
-                    }
-                });
-            }
-        });
-        let mut served = served.into_inner().unwrap();
-        served.sort_by_key(|batch| batch.position);
-
-        let mut reference = ServiceSampler::create(&config).unwrap();
-        let mut expected = Vec::new();
-        let mut position = 0u64;
-        for batch in &served {
-            position += batch.ids.len() as u64;
-            assert_eq!(batch.position, position, "positions define a gapless order");
-            expected.clear();
-            reference.feed_batch(&batch.ids, &mut expected);
-            assert_eq!(batch.outputs, expected, "outputs diverged at position {position}");
+        // (connections, stream length, attack domain, stream seed)
+        for (connections, len, domain, seed) in [
+            (2usize, scale(200_000, 30_000), 5_000, 9u64),
+            (4, scale(1_000_000, 60_000), 10_000, 13),
+        ] {
+            let name = format!("reactor-{connections}");
+            let stream: Vec<NodeId> =
+                IdStream::new(peak_attack_distribution(domain).unwrap(), seed).take(len).collect();
+            client.create_stream(&name, &config).unwrap();
+            let served = Mutex::new(Vec::new());
+            std::thread::scope(|inner| {
+                for slice in stream.chunks(stream.len().div_ceil(connections)) {
+                    let (name, served) = (&name, &served);
+                    inner.spawn(move || {
+                        let mut client = ServiceClient::new(connect()).unwrap();
+                        for batch in slice.chunks(2048) {
+                            let ack = loop {
+                                match client.feed_batch(name, batch) {
+                                    Ok(ack) => break ack,
+                                    Err(uns_service::ServiceError::Busy) => {}
+                                    Err(err) => panic!("feed failed: {err}"),
+                                }
+                            };
+                            assert_eq!(ack.outputs.len(), batch.len());
+                            served.lock().unwrap().push(ServedBatch {
+                                position: ack.position,
+                                ids: batch.to_vec(),
+                                outputs: ack.outputs,
+                            });
+                        }
+                    });
+                }
+            });
+            let mut served = served.into_inner().unwrap();
+            served.sort_by_key(|batch| batch.position);
+            assert_bit_equal_to_sequential(&server, &name, &config, &served);
         }
-        let service_blob = client.snapshot("reactor").unwrap();
-        let mut reference_blob = Vec::new();
-        reference.snapshot(&mut reference_blob);
-        assert_eq!(service_blob, reference_blob, "snapshot bytes diverged over the reactor");
         server.stop();
     });
 }

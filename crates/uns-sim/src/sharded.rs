@@ -59,11 +59,10 @@
 //! twice (once into the delta matrix, once replaying onto the prefix), and
 //! the sequential residue is a membership probe and the coin flips. The
 //! previous two-pass pipeline re-hashed every element in its candidate
-//! pass ([`ShardedIngestion::pipeline_ingest_two_pass`] keeps it as the
-//! benchmark/differential reference). Either way the result is
-//! exactness-preserving: memory `Γ`, RNG state and the installed estimator
-//! all end bit-equal to a sequential run (pinned by tests at 10 M elements
-//! / 4 threads in release).
+//! pass (a test-only copy keeps it as the differential reference). Either
+//! way the result is exactness-preserving: memory `Γ`, RNG state and the
+//! installed estimator all end bit-equal to a sequential run (pinned by
+//! tests at 10 M elements / 4 threads in release).
 //!
 //! [`pipeline_feed`]: ShardedIngestion::pipeline_feed
 //!
@@ -444,32 +443,18 @@ impl ShardedIngestion {
         Ok((sampler, stats))
     }
 
-    /// The previous **two-pass** pipeline, retained as the re-hashing
-    /// reference the delta-log pipeline is benchmarked (criterion group
-    /// `parallel_pipeline_4m`) and differential-tested against: its
-    /// candidate pass re-hashes every element from a cloned prefix sketch
-    /// instead of replaying the chunk pass's delta log. Results are
-    /// bit-equal to [`ShardedIngestion::pipeline_ingest`] (and therefore to
-    /// sequential ingestion); only the cost profile differs.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedIngestion::pipeline_ingest`].
-    pub fn pipeline_ingest_two_pass(
+    /// The previous **two-pass** pipeline, retained as the test-only
+    /// re-hashing reference the delta-log pipeline is differential-tested
+    /// against: its candidate pass re-hashes every element from a cloned
+    /// prefix sketch instead of replaying the chunk pass's delta log.
+    /// Results are bit-equal to [`ShardedIngestion::pipeline_ingest`] (and
+    /// therefore to sequential ingestion); only the cost profile differs.
+    #[cfg(test)]
+    fn pipeline_ingest_two_pass(
         &self,
         stream: &[NodeId],
         capacity: usize,
         sampler_seed: u64,
-    ) -> Result<(KnowledgeFreeSampler, PipelineStats), SimError> {
-        self.pipeline_run_two_pass(stream, capacity, sampler_seed, None)
-    }
-
-    fn pipeline_run_two_pass(
-        &self,
-        stream: &[NodeId],
-        capacity: usize,
-        sampler_seed: u64,
-        mut out: Option<&mut Vec<NodeId>>,
     ) -> Result<(KnowledgeFreeSampler, PipelineStats), SimError> {
         let estimator =
             CountMinSketch::with_dimensions_family(self.width, self.depth, self.seed, self.family)?;
@@ -481,9 +466,6 @@ impl ShardedIngestion {
         };
         if stream.is_empty() {
             return Ok((sampler, stats));
-        }
-        if let Some(out) = out.as_deref_mut() {
-            out.reserve(stream.len());
         }
 
         // Chunk pass: per-chunk sketches in parallel (same-seed, mergeable).
@@ -542,11 +524,6 @@ impl ShardedIngestion {
                 };
                 for (id, f_hat, min_sigma) in candidates {
                     stats.admitted += u64::from(sampler.absorb_precomputed(id, f_hat, min_sigma));
-                    if let Some(out) = out.as_deref_mut() {
-                        let sample = sampler.sample().expect("memory is non-empty after an absorb");
-                        out.push(sample);
-                        stats.outputs += 1;
-                    }
                 }
             }
         });
@@ -557,8 +534,9 @@ impl ShardedIngestion {
         Ok((sampler, stats))
     }
 
-    /// Builds the per-chunk sketches of the chunk pass, `workers` threads
-    /// striding over the chunk list.
+    /// Builds the per-chunk sketches of the two-pass reference's chunk
+    /// pass, `workers` threads striding over the chunk list.
+    #[cfg(test)]
     fn build_chunk_sketches(
         &self,
         chunks: &[&[NodeId]],

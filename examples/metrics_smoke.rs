@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Starts a **durable** server (WAL + snapshots on runner disk), serves
-//! both listeners — the framed wire protocol and the plain-HTTP admin
-//! surface — runs a short load-generator burst, then scrapes
-//! `GET /metrics` over a real socket and asserts that:
+//! both listeners — the framed wire protocol through the reactor and the
+//! plain-HTTP admin surface — runs a short load-generator burst, then
+//! scrapes `GET /metrics` over a real socket and asserts that:
 //!
 //! * the exposition parses under the strict parser (every line, every
 //!   label, every histogram bucket);
@@ -27,7 +27,7 @@ use uns_metrics::parse::find;
 use uns_service::loadgen::{create_and_run, LoadgenConfig, LoadgenRetry, Workload};
 use uns_service::protocol::{EstimatorKind, HashFamilyKind, StreamConfig};
 use uns_service::server::{DurabilityConfig, Server, ServerConfig};
-use uns_service::{DirBackend, ServiceClient};
+use uns_service::{DirBackend, ReactorConfig, ServiceClient};
 
 fn scrape(addr: std::net::SocketAddr, path: &str) -> Result<String, Box<dyn std::error::Error>> {
     let mut conn = TcpStream::connect(addr)?;
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let admin_addr = admin.local_addr()?;
 
     let result = std::thread::scope(|scope| -> Result<(), Box<dyn std::error::Error>> {
-        scope.spawn(|| server.serve(wire));
+        scope.spawn(|| server.serve_reactor(wire, ReactorConfig::default()));
         scope.spawn(|| server.serve_metrics_http(admin));
 
         let connect = || {
