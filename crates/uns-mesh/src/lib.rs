@@ -18,10 +18,14 @@
 //! * [`membership`] — the fixed node set plus the dynamic liveness view;
 //! * [`placement`] — rendezvous (highest-random-weight) placement: every
 //!   node computes the same primary/replica ranking with no coordinator;
-//! * [`replicator`] — the primary-side [`ReplicationSink`] (ships each
-//!   WAL record before the local append, attaches/catches-up replicas
-//!   synchronously on the frozen stream) and the replica-side
-//!   [`ReplicaHandler`] (durably logs shipments before acking);
+//! * [`replicator`] — the primary-side [`ReplicationSink`] (sends each
+//!   WAL record to the replicas before the local append starts, overlaps
+//!   the local append and fsync with theirs, and acks only once both are
+//!   durable; attaches/catches-up replicas synchronously on the frozen
+//!   stream) and the replica-side [`ReplicaHandler`] (durably logs
+//!   shipments before acking). A crash between the send and the acks
+//!   leaves the logs apart by at most the one unacknowledged record,
+//!   which the client's position resync resolves;
 //! * [`failover`] — seeded-heartbeat failure detection driving promotion.
 //!
 //! A [`MeshNode`] wires all four onto one [`Server`]. Clients are plain

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One mesh node: a stable name (the placement identity) and the address
@@ -30,12 +31,17 @@ pub struct NodeInfo {
 pub struct Membership {
     nodes: Vec<NodeInfo>,
     dead: Mutex<BTreeSet<String>>,
+    /// Bumped on every liveness change, so readers can cache what they
+    /// derive from the live view (see [`Membership::version`]). Bumped
+    /// with `Release` under the `dead` lock, after the change; read with
+    /// `Acquire`, before the reader takes that lock for the view.
+    version: AtomicU64,
 }
 
 impl Membership {
     /// A membership over `nodes`, all initially live.
     pub fn new(nodes: Vec<NodeInfo>) -> Self {
-        Self { nodes, dead: Mutex::new(BTreeSet::new()) }
+        Self { nodes, dead: Mutex::new(BTreeSet::new()), version: AtomicU64::new(0) }
     }
 
     /// Every configured node, live or not, in declaration order.
@@ -51,12 +57,27 @@ impl Membership {
     /// Marks `name` dead; returns `true` when this call changed the view
     /// (so exactly one detector observation drives the promotion logic).
     pub fn mark_dead(&self, name: &str) -> bool {
-        self.dead.lock().expect("membership lock poisoned").insert(name.to_string())
+        let mut dead = self.dead.lock().expect("membership lock poisoned");
+        let changed = dead.insert(name.to_string());
+        if changed {
+            self.version.fetch_add(1, Ordering::Release);
+        }
+        changed
     }
 
     /// Marks `name` live again (a healed node re-joins placement).
     pub fn mark_live(&self, name: &str) {
-        self.dead.lock().expect("membership lock poisoned").remove(name);
+        let mut dead = self.dead.lock().expect("membership lock poisoned");
+        if dead.remove(name) {
+            self.version.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// A counter that moves whenever the live view changes. Anything
+    /// computed from [`Membership::live_names`] after reading version `v`
+    /// stays current while `version()` still returns `v`.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
     }
 
     /// Whether `name` is currently believed dead.
@@ -83,12 +104,17 @@ mod tests {
     fn liveness_overlay_tracks_marks() {
         let m = Membership::new(vec![info("a", 1), info("b", 2), info("c", 3)]);
         assert_eq!(m.live_names(), ["a", "b", "c"]);
+        let v0 = m.version();
         assert!(m.mark_dead("b"), "first observation changes the view");
+        let v1 = m.version();
+        assert_ne!(v0, v1, "a view change moves the version");
         assert!(!m.mark_dead("b"), "repeat observation does not");
+        assert_eq!(m.version(), v1, "nor does it move the version");
         assert!(m.is_dead("b"));
         assert_eq!(m.live_names(), ["a", "c"]);
         m.mark_live("b");
         assert_eq!(m.live_names(), ["a", "b", "c"]);
+        assert_ne!(m.version(), v1, "re-joining moves the version");
         assert_eq!(m.addr_of("c"), Some("127.0.0.1:3".parse().unwrap()));
         assert_eq!(m.addr_of("zz"), None);
     }

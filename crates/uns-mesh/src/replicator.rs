@@ -3,26 +3,31 @@
 //!
 //! The WAL **is** the replication log. [`Replicator`] implements the
 //! server's [`ReplicationSink`]: the stream's owning worker hands it every
-//! record *before* appending locally, and the sink pushes the exact
-//! CRC-framed bytes to each replica and waits for the durable ack
-//! (log-before-ack on the replica). Because `encode_record` is
-//! deterministic and replicas apply through the same recovery machinery,
-//! a replica's durable state is byte-identical to the primary's by
-//! construction — promotion replays a log that is literally the same
+//! record together with the local append, and the sink sends the exact
+//! CRC-framed bytes to each replica, runs the local append and fsync, and
+//! then waits for the replicas' durable acks (log-before-ack on the
+//! replica). The two fsyncs overlap instead of adding up. The replica
+//! appends the very bytes it was sent — the buffer the primary appended —
+//! so a replica's durable state is byte-identical to the primary's by
+//! construction: promotion replays a log that is literally the same
 //! bytes.
 //!
-//! Ship-before-local-append bounds the crash window: a primary dying
-//! between ship and append leaves the replica at most one record *ahead*
-//! — an unacknowledged op the client's position resync classifies as
-//! applied — never behind on an acknowledged one.
+//! The record is sent to every replica before the local append starts,
+//! and acknowledged to the client only when both appends are durable. A
+//! crash in between leaves the logs apart by at most that one
+//! unacknowledged record — usually with the replica ahead — and the
+//! client's position resync resolves it; no acknowledged op is ever
+//! missing. A failed local append re-bases the replicas: the next attach
+//! ships the durable snapshot, since recovery may or may not have kept
+//! the record the replicas already hold.
 //!
-//! Attach and catch-up run **synchronously inside `ship`**, on the worker
-//! thread that owns the stream: the primary's WAL is frozen for the whole
-//! exchange, so the catch-up slice plus the shipped record is gap-free by
-//! construction, with no lock juggling. A replica whose generation matches
-//! resumes from its own durable position (an incremental slice of the
-//! primary's log); anything else gets the durable snapshot and the full
-//! log tail.
+//! Attach and catch-up run **synchronously inside `ship`**, before the
+//! record is sent, on the worker thread that owns the stream: the
+//! primary's WAL is frozen for the whole exchange, so the catch-up slice
+//! plus the shipped record is gap-free by construction, with no lock
+//! juggling. A replica whose generation matches resumes from its own
+//! durable position (an incremental slice of the primary's log); anything
+//! else gets the durable snapshot and the full log tail.
 
 use crate::membership::Membership;
 use crate::placement::place;
@@ -35,14 +40,13 @@ use uns_metrics::TraceKind;
 use uns_service::client::ServiceClient;
 use uns_service::error::ServiceError;
 use uns_service::fault::{FaultPlan, FaultTransport};
-use uns_service::metrics::{stream_replication_handles, ServiceMetrics};
+use uns_service::metrics::{stream_replication_handles, ReplicationHandles, ServiceMetrics};
 use uns_service::protocol::{ErrorCode, Response};
 use uns_service::server::{ReplicaHandler, ReplicationSink};
 use uns_service::storage::StorageBackend;
 use uns_service::transport::Transport;
 use uns_service::wal::{
-    decode_record, parse_wal, DurableSnapshot, FsyncPolicy, WalOp, WalOpRef, WalWriter,
-    WAL_HEADER_LEN,
+    decode_record, parse_wal, DurableSnapshot, FsyncPolicy, WalWriter, WAL_HEADER_LEN,
 };
 
 /// Soft cap on the record bytes of one catch-up shipment. Frames also
@@ -54,14 +58,6 @@ const CATCHUP_CHUNK_BYTES: u64 = 1 << 20;
 /// dead replica costs the op path one connect timeout per backoff window,
 /// not one per record.
 const ATTACH_BACKOFF: Duration = Duration::from_millis(250);
-
-fn op_ref(op: &WalOp) -> WalOpRef<'_> {
-    match op {
-        WalOp::Ingest(ids) => WalOpRef::Ingest(ids),
-        WalOp::Feed(ids) => WalOpRef::Feed(ids),
-        WalOp::Sample => WalOpRef::Sample,
-    }
-}
 
 fn error(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error { code, message: message.into() }
@@ -272,12 +268,13 @@ impl ReplicaHandler for ReplicaApplier {
         let mut offset = 0usize;
         let mut seq = first_seq;
         while offset < records.len() {
-            let Some((op, consumed)) = decode_record(records, offset) else {
+            let Some((_, consumed)) = decode_record(records, offset) else {
                 return error(
                     ErrorCode::Other,
                     format!("corrupt replication record at byte {offset}"),
                 );
             };
+            let record = &records[offset..offset + consumed];
             offset += consumed;
             if seq < writer.next_seq() {
                 // Already durable here (a resend overlapping the tail) —
@@ -294,7 +291,9 @@ impl ReplicaHandler for ReplicaApplier {
                     ),
                 );
             }
-            if let Err(err) = writer.append_op(op_ref(&op)) {
+            // The CRC-checked bytes as shipped: decoding is strict, so
+            // they are exactly what re-encoding the op would produce.
+            if let Err(err) = writer.append_record(record) {
                 return error(ErrorCode::Durability, format!("replica append failed: {err}"));
             }
             seq += 1;
@@ -314,13 +313,65 @@ impl ReplicaHandler for ReplicaApplier {
 // Primary side
 // ---------------------------------------------------------------------------
 
-struct Session {
+/// One replica peer's session for one stream.
+struct PeerSession {
+    peer: String,
+    /// The open replication connection; `None` while detached. Between
+    /// the sends and the acks of a shipment, `Some` means the record was
+    /// sent and its ack is outstanding.
     client: Option<ServiceClient<Box<dyn Transport>>>,
     /// The replica's durable position as of the last ack (0 before the
     /// first attach).
     next_seq: u64,
     /// Attach attempts are skipped until this instant after a failure.
     retry_at: Option<Instant>,
+    /// The next attach ships the durable snapshot whatever the replica's
+    /// position: the local append of the last record failed (or
+    /// panicked), the primary's log went through repair or recovery, and
+    /// the replica's copy of that record may be one the primary no longer
+    /// holds.
+    rebase: bool,
+}
+
+impl PeerSession {
+    fn new(peer: String) -> Self {
+        Self { peer, client: None, next_seq: 0, retry_at: None, rebase: false }
+    }
+
+    /// Drops the connection after a failed send or ack; the next record
+    /// after the backoff retries the attach.
+    fn detach(&mut self) {
+        self.client = None;
+        self.retry_at = Some(Instant::now() + ATTACH_BACKOFF);
+    }
+}
+
+/// A stream's replication state on its primary: the placement peers, as
+/// of a membership version, and the stream's replication series. Created
+/// at the stream's first shipment and reused for every later one, so the
+/// steady-state shipment allocates nothing.
+struct StreamSessions {
+    /// [`Membership::version`] the peer list was placed under; `None`
+    /// until the first placement.
+    view: Option<u64>,
+    peers: Vec<PeerSession>,
+    handles: ReplicationHandles,
+}
+
+impl StreamSessions {
+    /// Re-places the stream over a changed live view, keeping the
+    /// sessions of peers that are still placed.
+    fn replace_peers(&mut self, peers: Vec<String>, view: u64) {
+        let mut old = std::mem::take(&mut self.peers);
+        self.peers = peers
+            .into_iter()
+            .map(|peer| match old.iter().position(|s| s.peer == peer) {
+                Some(i) => old.swap_remove(i),
+                None => PeerSession::new(peer),
+            })
+            .collect();
+        self.view = Some(view);
+    }
 }
 
 /// Attach counters, split by how much had to be shipped — the partition
@@ -347,7 +398,10 @@ pub struct Replicator {
     connect_timeout: Duration,
     op_timeout: Option<Duration>,
     fault_plan: Option<Arc<FaultPlan>>,
-    sessions: Mutex<HashMap<String, HashMap<String, Session>>>,
+    /// Per-stream sessions. A shipment takes its stream's entry out and
+    /// puts it back, so the lock is never held across network I/O or the
+    /// local append.
+    sessions: Mutex<HashMap<String, StreamSessions>>,
     attach_full: AtomicU64,
     attach_incremental: AtomicU64,
 }
@@ -393,6 +447,24 @@ impl Replicator {
         }
     }
 
+    /// The peers `stream` ships to under the current live view: the
+    /// placement set minus this node. Normally this node is the placement
+    /// primary; after a view change it may briefly disagree — it still
+    /// ships to the placement set minus itself so R copies exist either
+    /// way.
+    fn placed_peers(&self, stream: &str) -> Vec<String> {
+        let live = self.membership.live_names();
+        let Some(placement) = place(stream, &live, self.replication) else {
+            return Vec::new();
+        };
+        let mut peers: Vec<String> = std::iter::once(placement.primary)
+            .chain(placement.replicas)
+            .filter(|p| *p != self.node)
+            .collect();
+        peers.truncate(self.replication);
+        peers
+    }
+
     fn connect(&self, peer: &str) -> Result<ServiceClient<Box<dyn Transport>>, ServiceError> {
         let addr = self.membership.addr_of(peer).ok_or_else(|| {
             ServiceError::InvalidConfig(format!("peer {peer:?} is not a mesh member"))
@@ -412,13 +484,16 @@ impl Replicator {
     /// `up_to_seq` (the sequence of the record about to ship — the
     /// primary's WAL holds everything before it and is frozen while the
     /// owning worker sits in `ship`). Generation match resumes from the
-    /// replica's durable position; anything else ships snapshot + tail.
+    /// replica's durable position unless `rebase` is set; anything else
+    /// ships snapshot + tail.
     fn attach(
         &self,
         stream: &str,
         generation: u64,
         up_to_seq: u64,
         peer: &str,
+        rebase: bool,
+        handles: &ReplicationHandles,
     ) -> Result<(ServiceClient<Box<dyn Transport>>, u64), ServiceError> {
         let mut client = self.connect(peer)?;
         let (replica_gen, replica_next) = client.replicate(stream, 0, 0, None, &[])?;
@@ -433,7 +508,8 @@ impl Replicator {
         let log_usable =
             parsed.header.is_some_and(|h| h.generation == generation && h.base_seq <= up_to_seq);
 
-        let incremental = log_usable
+        let incremental = !rebase
+            && log_usable
             && replica_gen == generation
             && replica_next >= base
             && replica_next <= up_to_seq;
@@ -503,7 +579,6 @@ impl Replicator {
 
         let counter = if incremental { &self.attach_incremental } else { &self.attach_full };
         counter.fetch_add(1, Ordering::Relaxed);
-        let handles = stream_replication_handles(self.metrics.registry(), stream);
         handles.shipped_bytes.add(shipped_bytes);
         let stream_arc: Arc<str> = Arc::from(stream);
         self.metrics.trace().push(
@@ -517,37 +592,40 @@ impl Replicator {
 }
 
 impl ReplicationSink for Replicator {
-    fn ship(&self, stream: &str, generation: u64, seq: u64, record: &[u8]) {
-        let live = self.membership.live_names();
-        let Some(placement) = place(stream, &live, self.replication) else { return };
-        // Normally we are the placement primary; after a view change we
-        // may briefly disagree — still ship to the placement set minus
-        // ourselves so R copies exist either way.
-        let mut peers: Vec<String> = std::iter::once(placement.primary)
-            .chain(placement.replicas)
-            .filter(|p| *p != self.node)
-            .collect();
-        peers.truncate(self.replication);
-        let mut sessions = self.sessions.lock().expect("replicator lock poisoned");
-        let entry = sessions.entry(stream.to_string()).or_default();
-        entry.retain(|peer, _| peers.iter().any(|p| p == peer));
-        let handles = stream_replication_handles(self.metrics.registry(), stream);
-        for peer in &peers {
-            let session = entry.entry(peer.clone()).or_insert(Session {
-                client: None,
-                next_seq: 0,
-                retry_at: None,
-            });
+    fn ship(
+        &self,
+        stream: &str,
+        generation: u64,
+        seq: u64,
+        record: &[u8],
+        local: &mut dyn FnMut() -> bool,
+    ) {
+        // Only the owning worker ships a stream, so nobody else wants this
+        // entry while it is out of the map.
+        let taken = self.sessions.lock().expect("replicator lock poisoned").remove_entry(stream);
+        let (key, mut sessions) = taken.unwrap_or_else(|| {
+            let handles = stream_replication_handles(self.metrics.registry(), stream);
+            (stream.to_string(), StreamSessions { view: None, peers: Vec::new(), handles })
+        });
+        let view = self.membership.version();
+        if sessions.view != Some(view) {
+            sessions.replace_peers(self.placed_peers(stream), view);
+        }
+        let StreamSessions { peers, handles, .. } = &mut sessions;
+
+        // 1. Attach or catch up where needed, then send the record.
+        for session in peers.iter_mut() {
             if session.client.is_none() || session.next_seq != seq {
+                session.client = None;
                 if session.retry_at.is_some_and(|at| Instant::now() < at) {
                     continue; // still backing off a recent failure
                 }
-                session.client = None;
-                match self.attach(stream, generation, seq, peer) {
+                match self.attach(stream, generation, seq, &session.peer, session.rebase, handles) {
                     Ok((client, next)) => {
                         session.client = Some(client);
                         session.next_seq = next;
                         session.retry_at = None;
+                        session.rebase = false;
                     }
                     Err(_) => {
                         // Degraded: the primary keeps serving; the next
@@ -558,19 +636,39 @@ impl ReplicationSink for Replicator {
                 }
             }
             let Some(client) = session.client.as_mut() else { continue };
-            match client.replicate(stream, generation, seq, None, record) {
+            if client.send_replicate(stream, generation, seq, None, record).is_err() {
+                session.detach();
+            }
+        }
+
+        // 2. The local append and fsync, while the replicas do theirs. A
+        // panic is held until the acks are in, so no shipment is left in
+        // flight behind the re-based sessions.
+        let local = std::panic::catch_unwind(std::panic::AssertUnwindSafe(local));
+
+        // 3. The acks of every session the record was sent on.
+        for session in peers.iter_mut() {
+            let Some(client) = session.client.as_mut() else { continue };
+            match client.recv_replicate() {
                 Ok((got_gen, got_next)) if got_gen == generation && got_next == seq + 1 => {
                     session.next_seq = got_next;
                     handles.shipped_bytes.add(record.len() as u64);
                 }
-                _ => {
-                    session.client = None;
-                    session.retry_at = Some(Instant::now() + ATTACH_BACKOFF);
-                }
+                _ => session.detach(),
+            }
+        }
+        if !matches!(local, Ok(true)) {
+            for session in peers.iter_mut() {
+                session.client = None;
+                session.rebase = true;
             }
         }
         let primary_next = seq + 1;
-        let min_next = entry.values().map(|s| s.next_seq).min().unwrap_or(primary_next);
+        let min_next = peers.iter().map(|s| s.next_seq).min().unwrap_or(primary_next);
         handles.lag.set_u64(primary_next.saturating_sub(min_next));
+        self.sessions.lock().expect("replicator lock poisoned").insert(key, sessions);
+        if let Err(panic) = local {
+            std::panic::resume_unwind(panic);
+        }
     }
 }

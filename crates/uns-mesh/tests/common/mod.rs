@@ -13,7 +13,7 @@ use uns_mesh::{client_endpoints, Membership, MeshConfig, MeshNode, NodeInfo};
 use uns_service::error::ServiceError;
 use uns_service::protocol::{EstimatorKind, HashFamilyKind, StreamConfig};
 use uns_service::resilient::{ResilientClient, RetryPolicy};
-use uns_service::storage::MemBackend;
+use uns_service::storage::{MemBackend, StorageBackend};
 
 /// A running mesh: a client-side membership view (never marked dead), the
 /// nodes, and each node's backend (kept concrete so tests can inspect raw
@@ -29,6 +29,17 @@ pub struct Mesh {
 impl Mesh {
     /// Starts `n` nodes named `n0..` on ephemeral localhost ports.
     pub fn start(n: usize, config: &MeshConfig) -> Mesh {
+        Self::start_with(n, config, |_, backend| backend.clone())
+    }
+
+    /// As [`Mesh::start`], but node `i` stores through
+    /// `storage(i, &backends[i])` — a wrapper such as a fault-injecting
+    /// backend — while `backends` keeps the concrete inner store.
+    pub fn start_with(
+        n: usize,
+        config: &MeshConfig,
+        storage: impl Fn(usize, &Arc<MemBackend>) -> Arc<dyn StorageBackend>,
+    ) -> Mesh {
         let listeners: Vec<TcpListener> =
             (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
         let infos: Vec<NodeInfo> = listeners
@@ -48,7 +59,7 @@ impl Mesh {
                 MeshNode::start(
                     &format!("n{i}"),
                     listener,
-                    backends[i].clone(),
+                    storage(i, &backends[i]),
                     Arc::new(Membership::new(infos.clone())),
                     config,
                 )

@@ -70,6 +70,10 @@ impl<T: Transport> ServiceClient<T> {
 
     fn round_trip(&mut self) -> Result<Response, ServiceError> {
         write_frame(&mut self.writer, &self.send_buf)?;
+        self.receive()
+    }
+
+    fn receive(&mut self) -> Result<Response, ServiceError> {
         if !read_frame(&mut self.reader, &mut self.recv_buf)? {
             return Err(ServiceError::Protocol("server hung up mid-request".into()));
         }
@@ -198,7 +202,10 @@ impl<T: Transport> ServiceClient<T> {
     /// payload is durably applied (log-before-ack).
     ///
     /// This is the primary→replica leg of the mesh's replication
-    /// protocol; ordinary clients never call it.
+    /// protocol; ordinary clients never call it. It is
+    /// [`ServiceClient::send_replicate`] followed by
+    /// [`ServiceClient::recv_replicate`]; a caller with other work to do
+    /// while the replica applies calls the two halves itself.
     ///
     /// # Errors
     ///
@@ -213,9 +220,38 @@ impl<T: Transport> ServiceClient<T> {
         snapshot: Option<&[u8]>,
         records: &[u8],
     ) -> Result<(u64, u64), ServiceError> {
+        self.send_replicate(name, generation, first_seq, snapshot, records)?;
+        self.recv_replicate()
+    }
+
+    /// Sends a [`ServiceClient::replicate`] shipment without waiting for
+    /// the reply. Exactly one [`ServiceClient::recv_replicate`] must follow
+    /// before the next request on this client.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and the frame size cap.
+    pub fn send_replicate(
+        &mut self,
+        name: &str,
+        generation: u64,
+        first_seq: u64,
+        snapshot: Option<&[u8]>,
+        records: &[u8],
+    ) -> Result<(), ServiceError> {
         Request::Replicate { name, generation, first_seq, snapshot, records }
             .encode(&mut self.send_buf);
-        match self.round_trip()? {
+        write_frame(&mut self.writer, &self.send_buf)
+    }
+
+    /// Waits for the reply to the shipment [`ServiceClient::send_replicate`]
+    /// sent: the replica's `(generation, next_seq)` once it is durable.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServiceClient::replicate`].
+    pub fn recv_replicate(&mut self) -> Result<(u64, u64), ServiceError> {
+        match self.receive()? {
             Response::ReplState { generation, next_seq } => Ok((generation, next_seq)),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }

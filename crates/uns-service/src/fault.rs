@@ -35,7 +35,7 @@
 use crate::storage::{StorageBackend, WalStore};
 use crate::transport::Transport;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use uns_metrics::{TraceKind, TraceLog};
@@ -127,6 +127,10 @@ pub struct FaultPlan {
     /// (0 = healed). Shared by every transport wrapped under this plan,
     /// so a sever cuts the whole node, not one connection.
     severed: AtomicU64,
+    /// Set by [`FaultPlan::tear_next_append`]: the next WAL append tears.
+    tear_next: AtomicBool,
+    /// Set by [`FaultPlan::fail_next_sync`]: the next WAL fsync fails.
+    fail_next_sync: AtomicBool,
     /// Optional trace sink: when a server binds its [`TraceLog`], every
     /// fault that actually fires leaves a structured event, so a failing
     /// seeded run can be read back as "what did the plan do, in order".
@@ -146,6 +150,8 @@ impl FaultPlan {
             worker_draws: AtomicU64::new(0),
             partition_draws: AtomicU64::new(0),
             severed: AtomicU64::new(0),
+            tear_next: AtomicBool::new(false),
+            fail_next_sync: AtomicBool::new(false),
             trace: OnceLock::new(),
         })
     }
@@ -195,7 +201,8 @@ impl FaultPlan {
             return None;
         }
         let hash = self.draw(FaultSite::WalAppend);
-        let torn = Self::hit(hash, self.spec.torn_write_per_mille)
+        let forced = self.tear_next.swap(false, Ordering::Relaxed);
+        let torn = (forced || Self::hit(hash, self.spec.torn_write_per_mille))
             .then(|| ((hash >> 10) % len as u64) as usize);
         if let Some(prefix) = torn {
             self.record(TraceKind::FaultTornWrite, prefix as u64, len as u64);
@@ -205,7 +212,9 @@ impl FaultPlan {
 
     /// Whether this fsync fails.
     pub fn sync_fails(&self) -> bool {
-        let fails = Self::hit(self.draw(FaultSite::WalSync), self.spec.sync_fail_per_mille);
+        let hash = self.draw(FaultSite::WalSync);
+        let forced = self.fail_next_sync.swap(false, Ordering::Relaxed);
+        let fails = forced || Self::hit(hash, self.spec.sync_fail_per_mille);
         if fails {
             self.record(TraceKind::FaultFsyncFailed, 0, 0);
         }
@@ -239,6 +248,19 @@ impl FaultPlan {
             self.record(TraceKind::FaultPanic, 0, 0);
         }
         panics
+    }
+
+    /// Makes the next WAL append under this plan tear, whatever its rate
+    /// — the explicit handle for tests that script one torn write at a
+    /// known op instead of drawing it.
+    pub fn tear_next_append(&self) {
+        self.tear_next.store(true, Ordering::Relaxed);
+    }
+
+    /// Makes the next WAL fsync under this plan fail, whatever its rate
+    /// (see [`FaultPlan::tear_next_append`]).
+    pub fn fail_next_sync(&self) {
+        self.fail_next_sync.store(true, Ordering::Relaxed);
     }
 
     /// Severs every transport under this plan for the next `ops`
@@ -568,6 +590,19 @@ mod tests {
             assert!(!quiet.sync_fails());
             assert_eq!(quiet.reply_action(), ReplyAction::Deliver);
             assert!(!quiet.worker_panics());
+        }
+    }
+
+    #[test]
+    fn scripted_faults_fire_exactly_once() {
+        let p = plan(5, FaultSpec::default());
+        p.tear_next_append();
+        p.fail_next_sync();
+        assert!(p.torn_write(32).is_some_and(|prefix| prefix < 32));
+        assert!(p.sync_fails());
+        for _ in 0..100 {
+            assert_eq!(p.torn_write(32), None);
+            assert!(!p.sync_fails());
         }
     }
 

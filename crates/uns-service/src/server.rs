@@ -33,6 +33,14 @@
 //! restore and promotion are ordinary jobs too: no request makes a
 //! connection driver wait on a worker or a disk.
 //!
+//! On a replicated durable stream, the owning worker encodes each
+//! mutating op's WAL record once, sends it to every replica, appends and
+//! fsyncs it locally while the replicas do the same, and applies and
+//! replies only once both appends are durable ([`ReplicationSink`]). A
+//! crash between the send and the acks leaves the logs apart by at most
+//! that one unacknowledged record, which the client's position resync
+//! resolves.
+//!
 //! Replica shipments queue for the **replica applier**, one thread of its
 //! own rather than a stream worker. A primary's worker blocks in
 //! [`ReplicationSink::ship`] until its peer answers; if the peer applied
@@ -328,26 +336,46 @@ impl BufferPool {
 }
 
 /// Primary-side replication hook: ships each WAL record to the stream's
-/// replicas **before** it is appended to the primary's own log.
+/// replicas and overlaps their durable appends with the primary's own.
 ///
 /// The owning worker calls [`ReplicationSink::ship`] synchronously on the
 /// mutating-op path, so the sink sees a frozen stream: no other op can
 /// append to the WAL while a ship (or the attach/catch-up it triggers) is
-/// in flight. Shipping *before* the local append means a crash between the
-/// two leaves the replica at most one record **ahead** of the primary —
-/// an unacknowledged op the client replays through its position resync —
-/// never behind on an acknowledged one.
+/// in flight. The sink first brings every replica session up to `seq`,
+/// then **sends** the record to each replica, then runs `local` — the
+/// primary's own append and fsync — exactly once, and only then waits for
+/// the replicas' acks. The two fsyncs are independent I/O waits, so they
+/// overlap instead of adding up. The op is acknowledged to its client
+/// only after `ship` returns, when both appends are durable.
 ///
-/// `record` is the exact CRC-framed encoding that is about to land in the
-/// primary's log ([`crate::wal::encode_record`] is deterministic, so the
-/// replica's log is byte-identical by construction). Errors are the sink's
-/// to handle: a failed ship detaches the session and the primary keeps
+/// The record is sent to every replica before the local append starts,
+/// so a primary crash in between leaves the logs apart by at most that
+/// one unacknowledged record, which the client's position resync
+/// resolves. No acknowledged op is ever missing from a replica that
+/// acked.
+///
+/// `record` is the exact CRC-framed encoding that `local` appends to the
+/// primary's log — the same buffer, so the replica's log is
+/// byte-identical by construction. `local` returns whether that append
+/// is durable; after a failed one, the primary's log went through repair
+/// or recovery, and the sink must re-base its replicas on the primary's
+/// durable snapshot before shipping more. Ship errors are the sink's to
+/// handle: a failed ship detaches the session and the primary keeps
 /// serving degraded; the server never blocks an op on a sick replica
-/// beyond the sink's own timeout.
+/// beyond the sink's own timeout. `local` must run with none of the
+/// sink's locks held, so a panicking append cannot poison them.
 pub trait ReplicationSink: Send + Sync {
     /// Ships one record for `stream`: `seq` is the sequence the record
-    /// will occupy, `generation` the incarnation appending it.
-    fn ship(&self, stream: &str, generation: u64, seq: u64, record: &[u8]);
+    /// will occupy, `generation` the incarnation appending it. Runs
+    /// `local` exactly once, after the sends and before the ack wait.
+    fn ship(
+        &self,
+        stream: &str,
+        generation: u64,
+        seq: u64,
+        record: &[u8],
+        local: &mut dyn FnMut() -> bool,
+    );
 }
 
 /// Replica-side replication hook: applies shipments arriving over the
@@ -906,6 +934,9 @@ struct DurableStream {
     /// Counters as of the last persisted snapshot (plus recoveries since);
     /// the live totals add the writer's appended bytes/records on top.
     counters: DurabilityStats,
+    /// The mutating op's record, encoded once: the bytes shipped to the
+    /// replicas are the bytes appended here. Reused across ops.
+    record: Vec<u8>,
 }
 
 impl DurableStream {
@@ -1022,7 +1053,7 @@ fn recover_stream(
     let mut state = StreamState {
         sampler,
         stats,
-        durable: Some(DurableStream { name: name.to_string(), wal, counters }),
+        durable: Some(DurableStream { name: name.to_string(), wal, counters, record: Vec::new() }),
         metrics: metrics.stream(name),
     };
     if let Some(durable) = state.durable.as_mut() {
@@ -1107,7 +1138,12 @@ fn create_durable_stream(
     let store = backend.open_wal(name).map_err(|e| CreateDurableError::Committed(e.into()))?;
     let wal = WalWriter::create(store, generation, 0, fsync)
         .map_err(|e| CreateDurableError::Committed(e.into()))?;
-    Ok(DurableStream { name: name.to_string(), wal, counters: DurabilityStats::default() })
+    Ok(DurableStream {
+        name: name.to_string(),
+        wal,
+        counters: DurabilityStats::default(),
+        record: Vec::new(),
+    })
 }
 
 /// Compacts the stream's log when it crossed the size threshold: persist a
@@ -1467,19 +1503,25 @@ fn wal_before_apply(
             panic!("injected worker panic");
         }
     }
-    // Ship-before-append (see [`ReplicationSink`]): the worker owns the
-    // stream exclusively, so the sink sees a frozen WAL — an attach /
-    // catch-up it performs inside this call cannot race new appends. The
-    // record is encoded separately from the local append, but
-    // `encode_record` is deterministic, so the replica's log bytes are
-    // identical to the primary's by construction.
+    // Encode once; ship and append the same bytes. The worker owns the
+    // stream exclusively, so the sink sees a frozen WAL — an attach or
+    // catch-up it performs inside `ship` cannot race new appends — and
+    // the local append runs inside `ship`, between the sends to the
+    // replicas and the wait for their acks (see [`ReplicationSink`]).
+    let DurableStream { name, wal, record, .. } = durable;
+    record.clear();
+    encode_record(record, op);
+    let (generation, seq) = (wal.generation(), wal.next_seq());
+    let mut appended = None;
+    // Idempotent: the first call appends, repeats report its outcome.
+    let mut local = || appended.get_or_insert_with(|| wal.append_record(record)).is_ok();
     let shipper = sink.lock().expect("replication sink lock poisoned").clone();
     if let Some(shipper) = shipper {
-        let mut record = Vec::new();
-        encode_record(&mut record, op);
-        shipper.ship(&durable.name, durable.wal.generation(), durable.wal.next_seq(), &record);
+        shipper.ship(name, generation, seq, record, &mut local);
     }
-    match durable.wal.append_op(op) {
+    // The append itself when no sink is installed (or a sink skipped it).
+    local();
+    match appended.expect("local append ran") {
         Ok(()) => Ok(()),
         Err(err) => {
             let broken = durable.wal.is_broken();

@@ -523,17 +523,33 @@ impl WalWriter {
     ///
     /// # Errors
     ///
+    /// As [`WalWriter::append_record`].
+    pub fn append_op(&mut self, op: WalOpRef<'_>) -> io::Result<()> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        encode_record(&mut scratch, op);
+        let result = self.append_record(&scratch);
+        self.scratch = scratch;
+        result
+    }
+
+    /// Appends one record already framed by [`encode_record`] and applies
+    /// the fsync policy — the entry point for callers that encode once and
+    /// use the same bytes twice (a primary ships them to its replicas, a
+    /// replica appends what it was shipped). The caller vouches for the
+    /// framing; the writer does not re-validate it.
+    ///
+    /// # Errors
+    ///
     /// Any store failure. The op was **not** made durable and must not be
     /// applied; check [`WalWriter::is_broken`] to see whether in-place
     /// repair succeeded (stream usable) or recovery is required.
-    pub fn append_op(&mut self, op: WalOpRef<'_>) -> io::Result<()> {
+    pub fn append_record(&mut self, record: &[u8]) -> io::Result<()> {
         if self.broken {
             return Err(io::Error::other("wal writer broken by an earlier failed repair"));
         }
-        self.scratch.clear();
-        encode_record(&mut self.scratch, op);
         let started = self.metrics.as_ref().map(|_| Instant::now());
-        if let Err(err) = append_all(self.store.as_mut(), &self.scratch) {
+        if let Err(err) = append_all(self.store.as_mut(), record) {
             // Torn write: some prefix may be on disk. Repair by truncating
             // back to the known-good length.
             if self.store.truncate(self.len).is_err() || self.store.sync().is_err() {
@@ -541,14 +557,14 @@ impl WalWriter {
             }
             return Err(err);
         }
-        self.len += self.scratch.len() as u64;
+        self.len += record.len() as u64;
         self.next_seq += 1;
         self.appended_records += 1;
-        self.appended_bytes += self.scratch.len() as u64;
+        self.appended_bytes += record.len() as u64;
         self.records_since_sync += 1;
         if let (Some(metrics), Some(started)) = (&self.metrics, started) {
             metrics.append_nanos.record_duration(started.elapsed());
-            metrics.bytes.add(self.scratch.len() as u64);
+            metrics.bytes.add(record.len() as u64);
             metrics.records.inc();
         }
         let due = match self.policy {
