@@ -20,12 +20,14 @@
 //!   node computes the same primary/replica ranking with no coordinator;
 //! * [`replicator`] — the primary-side [`ReplicationSink`] (sends each
 //!   WAL record to the replicas before the local append starts, overlaps
-//!   the local append and fsync with theirs, and acks only once both are
+//!   the local append and fsync with theirs, and leaves the acks to the
+//!   worker's release thread, which replies only once both appends are
 //!   durable; attaches/catches-up replicas synchronously on the frozen
-//!   stream) and the replica-side [`ReplicaHandler`] (durably logs
-//!   shipments before acking). A crash between the send and the acks
-//!   leaves the logs apart by at most the one unacknowledged record,
-//!   which the client's position resync resolves;
+//!   stream, on a fresh connection) and the replica-side
+//!   [`ReplicaHandler`] (durably logs shipments before acking). Records
+//!   are pipelined, at most one per connection writing to the stream, so
+//!   a crash leaves the logs apart by at most those records sent but not
+//!   yet acked, which the clients' position resync resolves;
 //! * [`failover`] — seeded-heartbeat failure detection driving promotion.
 //!
 //! A [`MeshNode`] wires all four onto one [`Server`]. Clients are plain

@@ -5,29 +5,42 @@
 //! server's [`ReplicationSink`]: the stream's owning worker hands it every
 //! record together with the local append, and the sink sends the exact
 //! CRC-framed bytes to each replica, runs the local append and fsync, and
-//! then waits for the replicas' durable acks (log-before-ack on the
-//! replica). The two fsyncs overlap instead of adding up. The replica
-//! appends the very bytes it was sent — the buffer the primary appended —
-//! so a replica's durable state is byte-identical to the primary's by
-//! construction: promotion replays a log that is literally the same
-//! bytes.
+//! returns the replicas' outstanding durable acks (log-before-ack on the
+//! replica) without waiting for them. The worker's release thread reads
+//! the acks, in send order, on each connection's read half, and only then
+//! sends the op's reply, so the two fsyncs overlap and the worker serves
+//! other ops while the replica applies. The replica appends the very bytes
+//! it was sent — the buffer the primary appended — so a replica's durable
+//! state is byte-identical to the primary's by construction: promotion
+//! replays a log that is literally the same bytes.
 //!
-//! The record is sent to every replica before the local append starts,
-//! and acknowledged to the client only when both appends are durable. A
-//! crash in between leaves the logs apart by at most that one
-//! unacknowledged record — usually with the replica ahead — and the
-//! client's position resync resolves it; no acknowledged op is ever
-//! missing. A failed local append re-bases the replicas: the next attach
-//! ships the durable snapshot, since recovery may or may not have kept
-//! the record the replicas already hold.
+//! A session keeps sending while earlier acks are outstanding; its
+//! `next_seq` is the next sequence to *send*. The replica serves one
+//! request per connection at a time, so records apply in send order, and
+//! the records in flight on a stream are bounded by the connections
+//! writing to it (each has one request in flight). A client hears back
+//! only once both appends are durable, so a primary crash leaves the logs
+//! apart by at most the records sent but not yet acked — usually with the
+//! replica ahead — and the clients' position resync resolves them; no
+//! acknowledged op is ever missing. A failed or timed-out ack marks the
+//! connection failed: the replies still waiting on it go out degraded,
+//! and the worker drops the connection at its next ship. A failed local
+//! append waits out every ack in flight, then re-bases the replicas: the
+//! next attach ships the durable snapshot, since recovery may or may not
+//! have kept the record the replicas already hold.
 //!
 //! Attach and catch-up run **synchronously inside `ship`**, before the
-//! record is sent, on the worker thread that owns the stream: the
-//! primary's WAL is frozen for the whole exchange, so the catch-up slice
-//! plus the shipped record is gap-free by construction, with no lock
-//! juggling. A replica whose generation matches resumes from its own
-//! durable position (an incremental slice of the primary's log); anything
-//! else gets the durable snapshot and the full log tail.
+//! record is sent, on the worker thread that owns the stream, and only on
+//! a fresh connection. The primary's WAL is frozen for the exchange, so
+//! the catch-up slice plus the shipped record is gap-free by construction.
+//! Records still in flight on the old connection may land at the replica
+//! after the catch-up has begun; they are records the primary's log holds
+//! at the same sequence (a failed local append drains them before the
+//! re-base), so the replica's apply skips what it already has and refuses
+//! anything that would leave a gap. At worst a late record costs one
+//! detach and a backoff. A replica whose generation matches resumes from
+//! its own durable position (an incremental slice of the primary's log);
+//! anything else gets the durable snapshot and the full log tail.
 
 use crate::membership::Membership;
 use crate::placement::place;
@@ -36,13 +49,15 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use uns_metrics::TraceKind;
-use uns_service::client::ServiceClient;
+use uns_metrics::{LatencyHistogram, TraceKind};
+use uns_service::client::{ReplicationReceiver, ReplicationSender, ServiceClient};
 use uns_service::error::ServiceError;
 use uns_service::fault::{FaultPlan, FaultTransport};
-use uns_service::metrics::{stream_replication_handles, ReplicationHandles, ServiceMetrics};
+use uns_service::metrics::{
+    replication_ack_wait, stream_replication_handles, ReplicationHandles, ServiceMetrics,
+};
 use uns_service::protocol::{ErrorCode, Response};
-use uns_service::server::{ReplicaHandler, ReplicationSink};
+use uns_service::server::{PendingAcks, ReplicaHandler, ReplicationSink};
 use uns_service::storage::StorageBackend;
 use uns_service::transport::Transport;
 use uns_service::wal::{
@@ -316,12 +331,10 @@ impl ReplicaHandler for ReplicaApplier {
 /// One replica peer's session for one stream.
 struct PeerSession {
     peer: String,
-    /// The open replication connection; `None` while detached. Between
-    /// the sends and the acks of a shipment, `Some` means the record was
-    /// sent and its ack is outstanding.
-    client: Option<ServiceClient<Box<dyn Transport>>>,
-    /// The replica's durable position as of the last ack (0 before the
-    /// first attach).
+    /// The open replication connection; `None` while detached.
+    conn: Option<Connection>,
+    /// The next sequence to send on `conn`: one past the last record
+    /// sent, whether or not its ack is in yet.
     next_seq: u64,
     /// Attach attempts are skipped until this instant after a failure.
     retry_at: Option<Instant>,
@@ -335,21 +348,118 @@ struct PeerSession {
 
 impl PeerSession {
     fn new(peer: String) -> Self {
-        Self { peer, client: None, next_seq: 0, retry_at: None, rebase: false }
+        Self { peer, conn: None, next_seq: 0, retry_at: None, rebase: false }
     }
 
-    /// Drops the connection after a failed send or ack; the next record
-    /// after the backoff retries the attach.
-    fn detach(&mut self) {
-        self.client = None;
-        self.retry_at = Some(Instant::now() + ATTACH_BACKOFF);
+    /// Drops the connection after a send or ack that failed at `at`; the
+    /// next record after the backoff retries the attach. Replies still
+    /// waiting on the connection's acks are released degraded, and the
+    /// socket closes with the last of them.
+    fn detach(&mut self, at: Instant) {
+        self.conn = None;
+        self.retry_at = Some(at + ATTACH_BACKOFF);
+    }
+}
+
+/// An attached replication connection: the write half the owning worker
+/// sends records on, and the read half their acks arrive on.
+struct Connection {
+    sender: ReplicationSender,
+    acks: Arc<AckReader>,
+}
+
+/// The read half of one replication connection. The worker sends on the
+/// write half without waiting; the acks are read here, in send order, by
+/// the worker's release thread (or by the worker itself when a failed
+/// local append must drain them before a re-base).
+struct AckReader {
+    /// The incarnation the connection was attached under.
+    generation: u64,
+    state: Mutex<AckState>,
+    /// When an ack failed, was refused or timed out: the session detaches
+    /// at its next ship, with the backoff counted from here. Never held
+    /// across I/O, so the worker can check it while an ack is awaited.
+    failed_at: Mutex<Option<Instant>>,
+}
+
+struct AckState {
+    receiver: ReplicationReceiver<Box<dyn Transport>>,
+    /// The replica's durable position as of the last ack read.
+    acked_next: u64,
+}
+
+impl AckReader {
+    fn failed_at(&self) -> Option<Instant> {
+        *self.failed_at.lock().expect("ack failure lock poisoned")
+    }
+
+    /// Reads acks until the replica's durable position reaches `next`;
+    /// `false` once the connection has failed. Acks arrive one per record
+    /// in send order, so a wait also consumes the acks of earlier records
+    /// that nobody waited for (a panicked op's).
+    fn wait_for(&self, next: u64) -> bool {
+        let mut state = self.state.lock().expect("ack lock poisoned");
+        while state.acked_next < next {
+            if self.failed_at().is_some() {
+                return false;
+            }
+            match state.receiver.recv() {
+                Ok((generation, got))
+                    if generation == self.generation && got == state.acked_next + 1 =>
+                {
+                    state.acked_next = got;
+                }
+                _ => {
+                    *self.failed_at.lock().expect("ack failure lock poisoned") =
+                        Some(Instant::now());
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The acks of one shipped record ([`PendingAcks`]): one per connection
+/// the record went out on. Counts in `uns_replica_lag_records` until
+/// waited out or dropped.
+struct ShipAcks {
+    readers: Vec<Arc<AckReader>>,
+    /// The replicas' durable position once the record is in.
+    next: u64,
+    sent_at: Instant,
+    record_len: u64,
+    handles: ReplicationHandles,
+    ack_wait: Arc<LatencyHistogram>,
+}
+
+impl ShipAcks {
+    fn wait_all(&self) {
+        for reader in &self.readers {
+            if reader.wait_for(self.next) {
+                self.ack_wait.record_duration(self.sent_at.elapsed());
+                self.handles.shipped_bytes.add(self.record_len);
+            }
+        }
+    }
+}
+
+impl PendingAcks for ShipAcks {
+    fn wait(self: Box<Self>) {
+        self.wait_all();
+    }
+}
+
+impl Drop for ShipAcks {
+    fn drop(&mut self) {
+        self.handles.lag.dec();
     }
 }
 
 /// A stream's replication state on its primary: the placement peers, as
 /// of a membership version, and the stream's replication series. Created
-/// at the stream's first shipment and reused for every later one, so the
-/// steady-state shipment allocates nothing.
+/// at the stream's first shipment and reused for every later one, so a
+/// steady-state shipment allocates only its [`ShipAcks`].
 struct StreamSessions {
     /// [`Membership::version`] the peer list was placed under; `None`
     /// until the first placement.
@@ -402,6 +512,8 @@ pub struct Replicator {
     /// puts it back, so the lock is never held across network I/O or the
     /// local append.
     sessions: Mutex<HashMap<String, StreamSessions>>,
+    /// `uns_replication_ack_wait_nanos`, recorded as acks are read.
+    ack_wait: Arc<LatencyHistogram>,
     attach_full: AtomicU64,
     attach_incremental: AtomicU64,
 }
@@ -424,6 +536,7 @@ impl Replicator {
         op_timeout: Option<Duration>,
         fault_plan: Option<Arc<FaultPlan>>,
     ) -> Self {
+        let ack_wait = replication_ack_wait(metrics.registry());
         Self {
             node: node.into(),
             membership,
@@ -434,6 +547,7 @@ impl Replicator {
             op_timeout,
             fault_plan,
             sessions: Mutex::new(HashMap::new()),
+            ack_wait,
             attach_full: AtomicU64::new(0),
             attach_incremental: AtomicU64::new(0),
         }
@@ -494,7 +608,7 @@ impl Replicator {
         peer: &str,
         rebase: bool,
         handles: &ReplicationHandles,
-    ) -> Result<(ServiceClient<Box<dyn Transport>>, u64), ServiceError> {
+    ) -> Result<ServiceClient<Box<dyn Transport>>, ServiceError> {
         let mut client = self.connect(peer)?;
         let (replica_gen, replica_next) = client.replicate(stream, 0, 0, None, &[])?;
 
@@ -587,7 +701,7 @@ impl Replicator {
             generation,
             if incremental { replica_next } else { snap.seq },
         );
-        Ok((client, acked_next))
+        Ok(client)
     }
 }
 
@@ -599,7 +713,7 @@ impl ReplicationSink for Replicator {
         seq: u64,
         record: &[u8],
         local: &mut dyn FnMut() -> bool,
-    ) {
+    ) -> Option<Box<dyn PendingAcks>> {
         // Only the owning worker ships a stream, so nobody else wants this
         // entry while it is out of the map.
         let taken = self.sessions.lock().expect("replicator lock poisoned").remove_entry(stream);
@@ -613,17 +727,32 @@ impl ReplicationSink for Replicator {
         }
         let StreamSessions { peers, handles, .. } = &mut sessions;
 
-        // 1. Attach or catch up where needed, then send the record.
+        // 1. Attach or catch up where needed, then send the record. Only a
+        // fresh connection attaches: records still in flight on an old one
+        // may land after the catch-up, where the replica skips what it
+        // holds and refuses gaps.
+        let mut readers = Vec::new();
         for session in peers.iter_mut() {
-            if session.client.is_none() || session.next_seq != seq {
-                session.client = None;
+            if let Some(conn) = &session.conn {
+                if let Some(at) = conn.acks.failed_at() {
+                    session.detach(at);
+                } else if session.next_seq != seq || conn.acks.generation != generation {
+                    session.conn = None;
+                }
+            }
+            if session.conn.is_none() {
                 if session.retry_at.is_some_and(|at| Instant::now() < at) {
                     continue; // still backing off a recent failure
                 }
                 match self.attach(stream, generation, seq, &session.peer, session.rebase, handles) {
-                    Ok((client, next)) => {
-                        session.client = Some(client);
-                        session.next_seq = next;
+                    Ok(client) => {
+                        let (sender, receiver) = client.split_replication();
+                        let acks = Arc::new(AckReader {
+                            generation,
+                            state: Mutex::new(AckState { receiver, acked_next: seq }),
+                            failed_at: Mutex::default(),
+                        });
+                        session.conn = Some(Connection { sender, acks });
                         session.retry_at = None;
                         session.rebase = false;
                     }
@@ -635,40 +764,52 @@ impl ReplicationSink for Replicator {
                     }
                 }
             }
-            let Some(client) = session.client.as_mut() else { continue };
-            if client.send_replicate(stream, generation, seq, None, record).is_err() {
-                session.detach();
+            let Some(conn) = session.conn.as_mut() else { continue };
+            if conn.sender.send(stream, generation, seq, None, record).is_err() {
+                session.detach(Instant::now());
+                continue;
             }
+            session.next_seq = seq + 1;
+            readers.push(Arc::clone(&conn.acks));
         }
+        let acks = if readers.is_empty() {
+            None
+        } else {
+            handles.lag.inc(); // until the acks are dropped
+            Some(ShipAcks {
+                readers,
+                next: seq + 1,
+                sent_at: Instant::now(),
+                record_len: record.len() as u64,
+                handles: handles.clone(),
+                ack_wait: Arc::clone(&self.ack_wait),
+            })
+        };
 
         // 2. The local append and fsync, while the replicas do theirs. A
         // panic is held until the acks are in, so no shipment is left in
         // flight behind the re-based sessions.
         let local = std::panic::catch_unwind(std::panic::AssertUnwindSafe(local));
-
-        // 3. The acks of every session the record was sent on.
-        for session in peers.iter_mut() {
-            let Some(client) = session.client.as_mut() else { continue };
-            match client.recv_replicate() {
-                Ok((got_gen, got_next)) if got_gen == generation && got_next == seq + 1 => {
-                    session.next_seq = got_next;
-                    handles.shipped_bytes.add(record.len() as u64);
-                }
-                _ => session.detach(),
+        let acks = if matches!(local, Ok(true)) {
+            acks
+        } else {
+            // The replicas may now hold a record the primary does not.
+            // Wait out every ack in flight, so none can land after the
+            // re-base, then ship the durable snapshot at the next attach.
+            if let Some(acks) = acks {
+                acks.wait_all();
             }
-        }
-        if !matches!(local, Ok(true)) {
             for session in peers.iter_mut() {
-                session.client = None;
+                session.conn = None;
                 session.rebase = true;
             }
-        }
-        let primary_next = seq + 1;
-        let min_next = peers.iter().map(|s| s.next_seq).min().unwrap_or(primary_next);
-        handles.lag.set_u64(primary_next.saturating_sub(min_next));
+            None
+        };
         self.sessions.lock().expect("replicator lock poisoned").insert(key, sessions);
         if let Err(panic) = local {
             std::panic::resume_unwind(panic);
         }
+        // 3. The acks are the release thread's to wait for.
+        acks.map(|acks| Box::new(acks) as Box<dyn PendingAcks>)
     }
 }

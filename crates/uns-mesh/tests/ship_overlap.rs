@@ -1,6 +1,7 @@
 //! The primary's durable append overlaps the replica round trip: the
-//! replicator sends the record to the replica, appends and fsyncs it
-//! locally while the replica applies it, and only then waits for the ack.
+//! replicator sends the record to the replica and appends and fsyncs it
+//! locally while the replica applies it; the reply goes out once the ack
+//! is in.
 //! With a replica whose apply stalls [`STALL`] and a primary WAL whose
 //! fsync stalls [`STALL`], one durable `FeedBatch` therefore replies in
 //! about one stall; run one after the other, the two stalls add up to at

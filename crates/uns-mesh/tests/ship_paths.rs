@@ -1,7 +1,9 @@
 //! `Replicator::ship` runs the primary's local append exactly once per
 //! record on every path a shipment can take: no placed peer, a session
 //! still backing off, a failed send, a rejected ack, a timed-out ack —
-//! and a panicking append poisons nothing. Each test drives the
+//! and a panicking append poisons nothing. A rejected or timed-out ack
+//! surfaces in the returned acks' wait; the session detaches at the next
+//! ship. Each test drives the
 //! replicator directly, with a real WAL as the local append and a real
 //! replica applier behind a TCP listener, and ends with the replica's log
 //! byte-identical to the primary's.
@@ -140,15 +142,20 @@ fn record(batch: u64) -> Vec<u8> {
 }
 
 /// Ships batch `batch` as the primary's next record with the append to
-/// `wal` as the local step; returns how often that step ran.
+/// `wal` as the local step, then waits out the acks the way a worker's
+/// release thread does before replying; returns how often the local step
+/// ran.
 fn ship(replicator: &Replicator, wal: &mut WalWriter, batch: u64) -> u64 {
     let record = record(batch);
     let (generation, seq) = (wal.generation(), wal.next_seq());
     let mut calls = 0;
-    replicator.ship(STREAM, generation, seq, &record, &mut || {
+    let acks = replicator.ship(STREAM, generation, seq, &record, &mut || {
         calls += 1;
         wal.append_record(&record).is_ok()
     });
+    if let Some(acks) = acks {
+        acks.wait();
+    }
     calls
 }
 

@@ -70,14 +70,7 @@ impl<T: Transport> ServiceClient<T> {
 
     fn round_trip(&mut self) -> Result<Response, ServiceError> {
         write_frame(&mut self.writer, &self.send_buf)?;
-        self.receive()
-    }
-
-    fn receive(&mut self) -> Result<Response, ServiceError> {
-        if !read_frame(&mut self.reader, &mut self.recv_buf)? {
-            return Err(ServiceError::Protocol("server hung up mid-request".into()));
-        }
-        Response::decode(&self.recv_buf)?.into_result()
+        receive(&mut self.reader, &mut self.recv_buf)
     }
 
     fn expect_ok(&mut self) -> Result<(), ServiceError> {
@@ -202,10 +195,9 @@ impl<T: Transport> ServiceClient<T> {
     /// payload is durably applied (log-before-ack).
     ///
     /// This is the primary→replica leg of the mesh's replication
-    /// protocol; ordinary clients never call it. It is
-    /// [`ServiceClient::send_replicate`] followed by
-    /// [`ServiceClient::recv_replicate`]; a caller with other work to do
-    /// while the replica applies calls the two halves itself.
+    /// protocol; ordinary clients never call it. A caller that keeps
+    /// several shipments in flight splits the client instead
+    /// ([`ServiceClient::split_replication`]).
     ///
     /// # Errors
     ///
@@ -220,41 +212,19 @@ impl<T: Transport> ServiceClient<T> {
         snapshot: Option<&[u8]>,
         records: &[u8],
     ) -> Result<(u64, u64), ServiceError> {
-        self.send_replicate(name, generation, first_seq, snapshot, records)?;
-        self.recv_replicate()
-    }
-
-    /// Sends a [`ServiceClient::replicate`] shipment without waiting for
-    /// the reply. Exactly one [`ServiceClient::recv_replicate`] must follow
-    /// before the next request on this client.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and the frame size cap.
-    pub fn send_replicate(
-        &mut self,
-        name: &str,
-        generation: u64,
-        first_seq: u64,
-        snapshot: Option<&[u8]>,
-        records: &[u8],
-    ) -> Result<(), ServiceError> {
         Request::Replicate { name, generation, first_seq, snapshot, records }
             .encode(&mut self.send_buf);
-        write_frame(&mut self.writer, &self.send_buf)
+        repl_state(self.round_trip()?)
     }
 
-    /// Waits for the reply to the shipment [`ServiceClient::send_replicate`]
-    /// sent: the replica's `(generation, next_seq)` once it is durable.
-    ///
-    /// # Errors
-    ///
-    /// As [`ServiceClient::replicate`].
-    pub fn recv_replicate(&mut self) -> Result<(u64, u64), ServiceError> {
-        match self.receive()? {
-            Response::ReplState { generation, next_seq } => Ok((generation, next_seq)),
-            other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
-        }
+    /// Splits the client into a sender and a receiver of replication
+    /// shipments, usable from two threads: one sends shipments without
+    /// waiting, the other reads their replies in send order.
+    pub fn split_replication(self) -> (ReplicationSender, ReplicationReceiver<T>) {
+        (
+            ReplicationSender { writer: self.writer, buf: self.send_buf },
+            ReplicationReceiver { reader: self.reader, buf: self.recv_buf },
+        )
     }
 
     /// Reads the stream's traffic counters.
@@ -268,5 +238,68 @@ impl<T: Transport> ServiceClient<T> {
             Response::Stats(stats) => Ok(stats),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }
+    }
+}
+
+/// Reads one reply frame and decodes it, error replies as errors.
+fn receive<R: Transport>(reader: &mut R, buf: &mut Vec<u8>) -> Result<Response, ServiceError> {
+    if !read_frame(reader, buf)? {
+        return Err(ServiceError::Protocol("server hung up mid-request".into()));
+    }
+    Response::decode(buf)?.into_result()
+}
+
+fn repl_state(reply: Response) -> Result<(u64, u64), ServiceError> {
+    match reply {
+        Response::ReplState { generation, next_seq } => Ok((generation, next_seq)),
+        other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
+    }
+}
+
+/// The write half of a [`ServiceClient::split_replication`]: sends
+/// [`ServiceClient::replicate`] shipments without waiting for replies.
+pub struct ReplicationSender {
+    writer: Box<dyn Transport>,
+    buf: Vec<u8>,
+}
+
+impl ReplicationSender {
+    /// Sends one shipment; its reply arrives on the
+    /// [`ReplicationReceiver`], after the replies of every shipment sent
+    /// before it.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and the frame size cap.
+    pub fn send(
+        &mut self,
+        name: &str,
+        generation: u64,
+        first_seq: u64,
+        snapshot: Option<&[u8]>,
+        records: &[u8],
+    ) -> Result<(), ServiceError> {
+        Request::Replicate { name, generation, first_seq, snapshot, records }.encode(&mut self.buf);
+        write_frame(&mut self.writer, &self.buf)
+    }
+}
+
+/// The read half of a [`ServiceClient::split_replication`]: reads
+/// shipment replies in send order.
+pub struct ReplicationReceiver<T: Transport> {
+    reader: T,
+    buf: Vec<u8>,
+}
+
+impl<T: Transport> ReplicationReceiver<T> {
+    /// Reads the next shipment reply: the replica's `(generation,
+    /// next_seq)` once that shipment is durable. The split client's op
+    /// timeout bounds the wait.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServiceClient::replicate`].
+    pub fn recv(&mut self) -> Result<(u64, u64), ServiceError> {
+        repl_state(receive(&mut self.reader, &mut self.buf)?)
     }
 }

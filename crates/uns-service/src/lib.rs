@@ -113,7 +113,9 @@ pub use protocol::{EstimatorKind, HashFamilyKind, ReplicationStats, StreamConfig
 pub use reactor::{RateLimit, ReactorConfig};
 pub use resilient::{Delivery, ResilientClient, RetryPolicy, RetryStats};
 pub use sampler::ServiceSampler;
-pub use server::{DurabilityConfig, ReplicaHandler, ReplicationSink, Server, ServerConfig};
+pub use server::{
+    DurabilityConfig, PendingAcks, ReplicaHandler, ReplicationSink, Server, ServerConfig,
+};
 pub use storage::{DirBackend, MemBackend, StorageBackend};
 pub use transport::{duplex, PipeTransport, Transport};
 pub use wal::{DurabilityStats, FsyncPolicy};

@@ -35,8 +35,11 @@ pub const METRIC_STREAM_FLOOR: &str = "uns_stream_floor";
 /// Exposition family name for the floor-trajectory window minimum.
 pub const METRIC_STREAM_FLOOR_WINDOW_MIN: &str = "uns_stream_floor_window_min";
 /// Exposition family name for the per-stream replica lag gauge (records
-/// the primary has durably applied that its replica has not acknowledged).
+/// sent to the replicas whose acks are still outstanding).
 pub const METRIC_STREAM_REPLICA_LAG: &str = "uns_replica_lag_records";
+/// Exposition family name for the node-wide histogram of replica ack
+/// waits: from sending a record to reading the replica's durable ack.
+pub const METRIC_REPLICATION_ACK_WAIT: &str = "uns_replication_ack_wait_nanos";
 /// Exposition family name for per-stream bytes shipped to replicas.
 pub const METRIC_STREAM_REPLICATION_BYTES: &str = "uns_replication_bytes_total";
 /// Exposition family name for per-stream failover promotions served.
@@ -79,8 +82,10 @@ const HELP_RECOVERIES: &str = "Times the stream was rebuilt from durable state."
 const HELP_FLOOR: &str = "Most recently observed sampler floor estimate.";
 const HELP_FLOOR_WINDOW_MIN: &str =
     "Minimum floor estimate over the last floor-trajectory window of batches.";
-const HELP_REPLICA_LAG: &str =
-    "Durably applied records the stream's replica has not yet acknowledged.";
+const HELP_REPLICA_LAG: &str = "Records sent to the stream's replicas whose acks are still \
+     outstanding; nonzero in steady state, since shipments are pipelined.";
+const HELP_REPLICATION_ACK_WAIT: &str =
+    "Time from sending a record to a replica to reading its durable ack.";
 const HELP_REPLICATION_BYTES: &str = "Record bytes shipped to the stream's replicas.";
 const HELP_FAILOVERS: &str = "Failover promotions this stream went through on this node.";
 const HELP_SPAWN_FAILURES: &str =
@@ -289,8 +294,8 @@ pub(crate) struct ReactorMetrics {
 /// server's `Stats` fold and `/metrics` exposition report.
 #[derive(Clone, Debug)]
 pub struct ReplicationHandles {
-    /// `uns_replica_lag_records{stream=…}` — records shipped but not yet
-    /// acknowledged by the replica (0 when detached or in lockstep).
+    /// `uns_replica_lag_records{stream=…}` — records sent to the replicas
+    /// whose acks are still outstanding (0 when detached or idle).
     pub lag: Arc<Gauge>,
     /// `uns_replication_bytes_total{stream=…}` — record and snapshot bytes
     /// shipped to replicas.
@@ -311,6 +316,11 @@ pub fn stream_replication_handles(registry: &MetricsRegistry, stream: &str) -> R
         ),
         failovers: registry.counter(METRIC_STREAM_FAILOVERS, HELP_FAILOVERS, &labels),
     }
+}
+
+/// Registers (or re-acquires) the node-wide replica ack-wait histogram.
+pub fn replication_ack_wait(registry: &MetricsRegistry) -> Arc<LatencyHistogram> {
+    registry.histogram(METRIC_REPLICATION_ACK_WAIT, HELP_REPLICATION_ACK_WAIT, &[])
 }
 
 /// The per-stream metric handles a worker holds inside its stream state.

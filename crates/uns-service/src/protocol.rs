@@ -454,8 +454,8 @@ pub struct StreamStats {
 /// structural, not a mirror.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplicationStats {
-    /// Records the primary has durably applied that its replica has not
-    /// yet acknowledged (`uns_replica_lag_records`).
+    /// Records sent to the replicas whose acks are still outstanding
+    /// (`uns_replica_lag_records`).
     pub lag_records: u64,
     /// Record bytes shipped to replicas over the replication opcode
     /// (`uns_replication_bytes_total`).

@@ -35,20 +35,25 @@
 //!
 //! On a replicated durable stream, the owning worker encodes each
 //! mutating op's WAL record once, sends it to every replica, appends and
-//! fsyncs it locally while the replicas do the same, and applies and
-//! replies only once both appends are durable ([`ReplicationSink`]). A
-//! crash between the send and the acks leaves the logs apart by at most
-//! that one unacknowledged record, which the client's position resync
-//! resolves.
+//! fsyncs it locally while the replicas do the same, and applies the op
+//! without waiting for the replicas' acks ([`ReplicationSink`]). The
+//! reply then goes to the worker's **release thread**, which sends it
+//! once the acks are in, so a client hears back only when both appends
+//! are durable while the worker serves the next op. A worker sends every
+//! other reply itself, except that a reply on a stream with replies still
+//! held queues behind them: each stream keeps its reply order, and no
+//! read is answered before an earlier write to its stream is acked. A
+//! crash leaves the logs apart by at most the records sent but not yet
+//! acked — one per connection writing to the stream — which the clients'
+//! position resync resolves.
 //!
 //! Replica shipments queue for the **replica applier**, one thread of its
-//! own rather than a stream worker. A primary's worker blocks in
-//! [`ReplicationSink::ship`] until its peer answers; if the peer applied
-//! shipments on a worker that could itself be blocked shipping back, two
-//! nodes replicating to each other could wait on each other forever. The
-//! applier never ships, so it always drains. Its queue needs no bound and
-//! never answers Busy: every connection has at most one request in flight,
-//! so it holds at most one shipment per connection.
+//! own rather than a stream worker. If the peer applied shipments on a
+//! worker that could itself be busy shipping back, two nodes replicating
+//! to each other could wait on each other forever. The applier never
+//! ships, so it always drains. Its queue needs no bound and never answers
+//! Busy: every connection has at most one request in flight, so it holds
+//! at most one shipment per connection.
 //!
 //! # Buffer pool
 //!
@@ -343,31 +348,36 @@ impl BufferPool {
 /// append to the WAL while a ship (or the attach/catch-up it triggers) is
 /// in flight. The sink first brings every replica session up to `seq`,
 /// then **sends** the record to each replica, then runs `local` — the
-/// primary's own append and fsync — exactly once, and only then waits for
-/// the replicas' acks. The two fsyncs are independent I/O waits, so they
-/// overlap instead of adding up. The op is acknowledged to its client
-/// only after `ship` returns, when both appends are durable.
+/// primary's own append and fsync — exactly once, and returns without
+/// waiting for the replicas' acks. The worker applies the op and hands
+/// its reply to the worker's release thread together with the returned
+/// [`PendingAcks`]; the release thread waits the acks out and only then
+/// sends the reply, so the op is acknowledged to its client only once
+/// both appends are durable, and the worker serves other ops meanwhile.
 ///
-/// The record is sent to every replica before the local append starts,
-/// so a primary crash in between leaves the logs apart by at most that
-/// one unacknowledged record, which the client's position resync
-/// resolves. No acknowledged op is ever missing from a replica that
-/// acked.
+/// Records a session has sent but not yet had acked are bounded by the
+/// connections writing to the stream: each has one request in flight. A
+/// primary crash can therefore leave the logs apart by at most those
+/// records, which the clients' position resync resolves. No acknowledged
+/// op is ever missing from a replica that acked.
 ///
 /// `record` is the exact CRC-framed encoding that `local` appends to the
 /// primary's log — the same buffer, so the replica's log is
 /// byte-identical by construction. `local` returns whether that append
 /// is durable; after a failed one, the primary's log went through repair
-/// or recovery, and the sink must re-base its replicas on the primary's
-/// durable snapshot before shipping more. Ship errors are the sink's to
-/// handle: a failed ship detaches the session and the primary keeps
-/// serving degraded; the server never blocks an op on a sick replica
-/// beyond the sink's own timeout. `local` must run with none of the
-/// sink's locks held, so a panicking append cannot poison them.
+/// or recovery, and the sink must wait out the acks already in flight
+/// (none may land after the re-base) and re-base its replicas on the
+/// primary's durable snapshot before shipping more. Ship errors are the
+/// sink's to handle: a failed send or ack detaches the session and the
+/// primary keeps serving degraded; the server never holds a reply on a
+/// sick replica beyond the sink's own timeout. `local` must run with none
+/// of the sink's locks held, so a panicking append cannot poison them.
 pub trait ReplicationSink: Send + Sync {
     /// Ships one record for `stream`: `seq` is the sequence the record
     /// will occupy, `generation` the incarnation appending it. Runs
-    /// `local` exactly once, after the sends and before the ack wait.
+    /// `local` exactly once, after the sends. Returns the acks still
+    /// outstanding, or `None` when none are: no replica was sent the
+    /// record, or `local` failed and the sink waited them out itself.
     fn ship(
         &self,
         stream: &str,
@@ -375,7 +385,17 @@ pub trait ReplicationSink: Send + Sync {
         seq: u64,
         record: &[u8],
         local: &mut dyn FnMut() -> bool,
-    );
+    ) -> Option<Box<dyn PendingAcks>>;
+}
+
+/// The replica acks of one shipped record, still outstanding when
+/// [`ReplicationSink::ship`] returned. The worker's release thread waits
+/// them out before it sends the op's reply.
+pub trait PendingAcks: Send {
+    /// Blocks until every replica the record was sent to has acked it,
+    /// failed, or timed out. A failure is the sink's to handle (the
+    /// session detaches at its next ship); the reply goes out regardless.
+    fn wait(self: Box<Self>);
 }
 
 /// Replica-side replication hook: applies shipments arriving over the
@@ -1221,6 +1241,7 @@ fn worker_main(
     metrics: &Arc<ServiceMetrics>,
     sink: &SinkCell,
 ) {
+    let mut release = Release::new(index);
     loop {
         // The shutdown check runs every iteration, not only when the
         // bounded-wait receive times out: a connected client keeping jobs
@@ -1274,7 +1295,7 @@ fn worker_main(
         let mutates = op_mutates(&op);
         let op_index = op_metric_index(&op);
         let started = Instant::now();
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let (response, acks) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_job(
                 &mut streams,
                 pool,
@@ -1292,18 +1313,20 @@ fn worker_main(
             let message = format!("stream operation panicked: {}", panic_message(panic.as_ref()));
             metrics.trace_global(TraceKind::WorkerPanic, stream, 0);
             if !mutates {
-                return Response::Error { code: ErrorCode::Other, message };
+                return (Response::Error { code: ErrorCode::Other, message }, None);
             }
-            match heal_in_place(&mut streams, stream, &durability, pool_size, metrics) {
-                HealOutcome::Healed => Response::Error {
-                    code: ErrorCode::Durability,
-                    message: format!("{message}; stream recovered, op outcome unknown"),
-                },
-                HealOutcome::Lost { purge } => {
-                    tear_down_lost_stream(registry, stream, &durability, purge, metrics);
-                    Response::Error { code: ErrorCode::Other, message }
-                }
-            }
+            let response =
+                match heal_in_place(&mut streams, stream, &durability, pool_size, metrics) {
+                    HealOutcome::Healed => Response::Error {
+                        code: ErrorCode::Durability,
+                        message: format!("{message}; stream recovered, op outcome unknown"),
+                    },
+                    HealOutcome::Lost { purge } => {
+                        tear_down_lost_stream(registry, stream, &durability, purge, metrics);
+                        Response::Error { code: ErrorCode::Other, message }
+                    }
+                };
+            (response, None)
         });
         if let Some(op_index) = op_index {
             metrics.record_op(op_index, started.elapsed());
@@ -1313,13 +1336,105 @@ fn worker_main(
         if let Some(reservation) = reservation {
             reservation.settle(&response);
         }
-        reply.send(response);
+        release.reply(stream, reply, response, acks);
     }
     // Drain the durability buffers on the way out: an orderly shutdown
     // should not cost the EveryN/Timer loss window.
     for state in streams.values_mut() {
         if let Some(durable) = state.durable.as_mut() {
             let _ = durable.wal.sync();
+        }
+    }
+}
+
+/// A reply the worker's release thread sends once the replica acks of
+/// its op are in.
+struct Held {
+    reply: ReplyTo,
+    response: Response,
+    acks: Option<Box<dyn PendingAcks>>,
+}
+
+/// A worker's reply path. A reply goes out from the worker itself unless
+/// its op left replica acks outstanding or an earlier reply on the same
+/// stream is still held; then it queues for the worker's release thread,
+/// which waits out each held reply's acks and sends the replies in queue
+/// order. A stream thus keeps its reply order, no read is answered before
+/// an earlier write to its stream is acked, and a `Demote` answers only
+/// once its stream holds nothing. The thread is spawned when the worker
+/// first holds a reply, so a server without a replication sink never
+/// starts one, and it is joined on drop, after every held reply went out.
+struct Release {
+    worker: usize,
+    thread: Option<(Sender<Held>, JoinHandle<()>)>,
+    /// Replies queued so far; the ticket of the last one.
+    queued: u64,
+    /// Replies the release thread has sent: bumped with `Release` after
+    /// each reply goes out and read with `Acquire`, so a ticket the worker
+    /// sees as sent was sent before anything the worker sends next.
+    sent: Arc<AtomicU64>,
+    /// Per stream, the ticket of its last queued reply: the stream holds
+    /// replies while `sent` is below it.
+    last_held: HashMap<u64, u64>,
+}
+
+impl Release {
+    fn new(worker: usize) -> Self {
+        let sent = Arc::new(AtomicU64::new(0));
+        Self { worker, thread: None, queued: 0, sent, last_held: HashMap::new() }
+    }
+
+    fn reply(
+        &mut self,
+        stream: u64,
+        reply: ReplyTo,
+        response: Response,
+        acks: Option<Box<dyn PendingAcks>>,
+    ) {
+        let sent = self.sent.load(Ordering::Acquire);
+        let behind = if sent == self.queued {
+            if !self.last_held.is_empty() {
+                self.last_held.clear(); // nothing is held on any stream
+            }
+            false
+        } else {
+            self.last_held.get(&stream).is_some_and(|&ticket| ticket > sent)
+        };
+        if acks.is_none() && !behind {
+            reply.send(response);
+            return;
+        }
+        let (tx, _) = self.thread.get_or_insert_with(|| {
+            let (tx, rx) = mpsc::channel::<Held>();
+            let sent = Arc::clone(&self.sent);
+            let thread = std::thread::Builder::new()
+                .name(format!("uns-release-{}", self.worker))
+                .spawn(move || {
+                    for held in rx {
+                        if let Some(acks) = held.acks {
+                            // A panicking wait costs only the wait: the
+                            // reply still goes out, in order.
+                            let wait = std::panic::AssertUnwindSafe(|| acks.wait());
+                            let _ = std::panic::catch_unwind(wait);
+                        }
+                        held.reply.send(held.response);
+                        sent.fetch_add(1, Ordering::Release);
+                    }
+                })
+                .expect("spawning a release thread");
+            (tx, thread)
+        });
+        self.queued += 1;
+        self.last_held.insert(stream, self.queued);
+        tx.send(Held { reply, response, acks }).expect("the release thread outlives its sender");
+    }
+}
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        if let Some((tx, thread)) = self.thread.take() {
+            drop(tx);
+            let _ = thread.join();
         }
     }
 }
@@ -1475,10 +1590,11 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Appends `op` to the stream's WAL (when durable) **before** it is
-/// applied. `Ok(())` means the op is durable to the policy's promise and
-/// may be applied; `Err` carries the reply to send instead — the op was
-/// not applied, and a broken writer has already sent the stream through
-/// in-place recovery (or torn it down).
+/// applied. `Ok` means the op is durable locally to the policy's promise
+/// and may be applied; it carries the replica acks still outstanding,
+/// which the op's reply must wait out. `Err` carries the reply to send
+/// instead — the op was not applied, and a broken writer has already sent
+/// the stream through in-place recovery (or torn it down).
 #[allow(clippy::too_many_arguments)]
 fn wal_before_apply(
     streams: &mut HashMap<u64, StreamState>,
@@ -1489,12 +1605,12 @@ fn wal_before_apply(
     pool_size: usize,
     metrics: &ServiceMetrics,
     sink: &SinkCell,
-) -> Result<(), Response> {
+) -> Result<Option<Box<dyn PendingAcks>>, Response> {
     let Some(state) = streams.get_mut(&stream) else {
         return Err(unknown_stream());
     };
     let Some(durable) = state.durable.as_mut() else {
-        return Ok(()); // non-durable server: nothing to log
+        return Ok(None); // non-durable server: nothing to log
     };
     // Injected worker panic: scheduled *before* the WAL append, so a
     // panicked op is never logged, never applied, never acknowledged.
@@ -1506,8 +1622,8 @@ fn wal_before_apply(
     // Encode once; ship and append the same bytes. The worker owns the
     // stream exclusively, so the sink sees a frozen WAL — an attach or
     // catch-up it performs inside `ship` cannot race new appends — and
-    // the local append runs inside `ship`, between the sends to the
-    // replicas and the wait for their acks (see [`ReplicationSink`]).
+    // the local append runs inside `ship`, after the sends to the
+    // replicas (see [`ReplicationSink`]).
     let DurableStream { name, wal, record, .. } = durable;
     record.clear();
     encode_record(record, op);
@@ -1516,13 +1632,11 @@ fn wal_before_apply(
     // Idempotent: the first call appends, repeats report its outcome.
     let mut local = || appended.get_or_insert_with(|| wal.append_record(record)).is_ok();
     let shipper = sink.lock().expect("replication sink lock poisoned").clone();
-    if let Some(shipper) = shipper {
-        shipper.ship(name, generation, seq, record, &mut local);
-    }
+    let acks = shipper.and_then(|shipper| shipper.ship(name, generation, seq, record, &mut local));
     // The append itself when no sink is installed (or a sink skipped it).
     local();
     match appended.expect("local append ran") {
-        Ok(()) => Ok(()),
+        Ok(()) => Ok(acks),
         Err(err) => {
             let broken = durable.wal.is_broken();
             let message = if broken {
@@ -1634,7 +1748,8 @@ fn install_stream(
 /// take their outputs buffer from the pool (the connection returns
 /// it after encoding). On a durable server, mutating ops are write-ahead
 /// logged before they touch the sampler, and the log is compacted when it
-/// crosses the configured size.
+/// crosses the configured size. Returns the reply and, on a replicated
+/// stream, the replica acks it must wait for.
 #[allow(clippy::too_many_arguments)]
 fn execute_job(
     streams: &mut HashMap<u64, StreamState>,
@@ -1647,6 +1762,79 @@ fn execute_job(
     durability: &Option<DurabilityConfig>,
     metrics: &ServiceMetrics,
     sink: &SinkCell,
+) -> (Response, Option<Box<dyn PendingAcks>>) {
+    let logged = match &op {
+        StreamOp::Ingest(ids) => WalOpRef::Ingest(ids),
+        StreamOp::Feed(ids) => WalOpRef::Feed(ids),
+        StreamOp::Sample => WalOpRef::Sample,
+        _ => {
+            let response = execute_unlogged(
+                streams, pool_size, worker, stream, op, registry, durability, metrics,
+            );
+            return (response, None);
+        }
+    };
+    let acks = match wal_before_apply(
+        streams, stream, logged, registry, durability, pool_size, metrics, sink,
+    ) {
+        Ok(acks) => acks,
+        Err(reply) => {
+            if let StreamOp::Ingest(ids) | StreamOp::Feed(ids) = op {
+                pool.put(ids);
+            }
+            return (reply, None);
+        }
+    };
+    let state = streams.get_mut(&stream).expect("checked by wal_before_apply");
+    let response = match op {
+        StreamOp::Ingest(ids) => {
+            let admitted = state.sampler.ingest_batch(&ids);
+            state.stats.elements += ids.len() as u64;
+            state.stats.admitted += admitted;
+            state.stats.chunks += 1;
+            state.metrics.pipeline.elements.add(ids.len() as u64);
+            state.metrics.pipeline.admitted.add(admitted);
+            state.metrics.pipeline.batches.inc();
+            state.metrics.observe_floor(state.stats.elements, state.sampler.floor_estimate());
+            pool.put(ids);
+            Response::Ingested { position: state.stats.elements, admitted }
+        }
+        StreamOp::Feed(ids) => {
+            let mut outputs = pool.take();
+            let admitted = state.sampler.feed_batch(&ids, &mut outputs);
+            state.stats.elements += ids.len() as u64;
+            state.stats.admitted += admitted;
+            state.stats.outputs += ids.len() as u64;
+            state.stats.chunks += 1;
+            state.metrics.pipeline.elements.add(ids.len() as u64);
+            state.metrics.pipeline.admitted.add(admitted);
+            state.metrics.pipeline.outputs.add(ids.len() as u64);
+            state.metrics.pipeline.batches.inc();
+            state.metrics.observe_floor(state.stats.elements, state.sampler.floor_estimate());
+            pool.put(ids);
+            Response::Fed { position: state.stats.elements, admitted, outputs }
+        }
+        StreamOp::Sample => Response::Sampled(state.sampler.sample()),
+        _ => unreachable!("only logged ops get here"),
+    };
+    if let Some(d) = durability {
+        maybe_compact(state, d.compact_bytes, &d.backend);
+    }
+    (response, acks)
+}
+
+/// [`execute_job`] for the ops that write no log record: creation,
+/// promotion, demotion and the reads.
+#[allow(clippy::too_many_arguments)]
+fn execute_unlogged(
+    streams: &mut HashMap<u64, StreamState>,
+    pool_size: usize,
+    worker: usize,
+    stream: u64,
+    op: StreamOp,
+    registry: &Registry,
+    durability: &Option<DurabilityConfig>,
+    metrics: &ServiceMetrics,
 ) -> Response {
     match op {
         StreamOp::Create(name, config) => match ServiceSampler::create(&config) {
@@ -1704,89 +1892,6 @@ fn execute_job(
             }
             None => unknown_stream(),
         },
-        StreamOp::Ingest(ids) => {
-            if let Err(reply) = wal_before_apply(
-                streams,
-                stream,
-                WalOpRef::Ingest(&ids),
-                registry,
-                durability,
-                pool_size,
-                metrics,
-                sink,
-            ) {
-                pool.put(ids);
-                return reply;
-            }
-            let state = streams.get_mut(&stream).expect("checked by wal_before_apply");
-            let admitted = state.sampler.ingest_batch(&ids);
-            state.stats.elements += ids.len() as u64;
-            state.stats.admitted += admitted;
-            state.stats.chunks += 1;
-            state.metrics.pipeline.elements.add(ids.len() as u64);
-            state.metrics.pipeline.admitted.add(admitted);
-            state.metrics.pipeline.batches.inc();
-            state.metrics.observe_floor(state.stats.elements, state.sampler.floor_estimate());
-            let response = Response::Ingested { position: state.stats.elements, admitted };
-            if let Some(d) = durability {
-                maybe_compact(state, d.compact_bytes, &d.backend);
-            }
-            pool.put(ids);
-            response
-        }
-        StreamOp::Feed(ids) => {
-            if let Err(reply) = wal_before_apply(
-                streams,
-                stream,
-                WalOpRef::Feed(&ids),
-                registry,
-                durability,
-                pool_size,
-                metrics,
-                sink,
-            ) {
-                pool.put(ids);
-                return reply;
-            }
-            let state = streams.get_mut(&stream).expect("checked by wal_before_apply");
-            let mut outputs = pool.take();
-            let admitted = state.sampler.feed_batch(&ids, &mut outputs);
-            state.stats.elements += ids.len() as u64;
-            state.stats.admitted += admitted;
-            state.stats.outputs += ids.len() as u64;
-            state.stats.chunks += 1;
-            state.metrics.pipeline.elements.add(ids.len() as u64);
-            state.metrics.pipeline.admitted.add(admitted);
-            state.metrics.pipeline.outputs.add(ids.len() as u64);
-            state.metrics.pipeline.batches.inc();
-            state.metrics.observe_floor(state.stats.elements, state.sampler.floor_estimate());
-            let response = Response::Fed { position: state.stats.elements, admitted, outputs };
-            if let Some(d) = durability {
-                maybe_compact(state, d.compact_bytes, &d.backend);
-            }
-            pool.put(ids);
-            response
-        }
-        StreamOp::Sample => {
-            if let Err(reply) = wal_before_apply(
-                streams,
-                stream,
-                WalOpRef::Sample,
-                registry,
-                durability,
-                pool_size,
-                metrics,
-                sink,
-            ) {
-                return reply;
-            }
-            let state = streams.get_mut(&stream).expect("checked by wal_before_apply");
-            let response = Response::Sampled(state.sampler.sample());
-            if let Some(d) = durability {
-                maybe_compact(state, d.compact_bytes, &d.backend);
-            }
-            response
-        }
         StreamOp::Floor => match streams.get(&stream) {
             Some(state) => {
                 let floor = state.sampler.floor_estimate();
@@ -1818,6 +1923,9 @@ fn execute_job(
             }),
             None => unknown_stream(),
         },
+        StreamOp::Ingest(_) | StreamOp::Feed(_) | StreamOp::Sample => {
+            unreachable!("logged ops run in execute_job")
+        }
         StreamOp::Replicate(_) => unreachable!("shipments run on the replica applier"),
         #[cfg(test)]
         StreamOp::Panic => panic!("test-injected worker panic"),
