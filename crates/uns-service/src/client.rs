@@ -32,8 +32,8 @@ pub struct FeedAck {
 /// A blocking client: one in-flight request at a time over one transport.
 ///
 /// [`ServiceError::Busy`] replies surface as errors so callers own the
-/// retry policy (the load generator backs off and retries; see
-/// [`crate::loadgen`]).
+/// retry policy ([`crate::resilient::ResilientClient`] backs off and
+/// retries).
 pub struct ServiceClient<T: Transport> {
     reader: T,
     writer: Box<dyn Transport>,

@@ -42,10 +42,8 @@
 //! * [`fault`] — seeded deterministic fault injection (torn writes,
 //!   corrupt WAL tails, dropped/delayed replies, scheduled worker panics)
 //!   wrapping the storage and [`transport`] seams;
-//! * [`client`] + [`loadgen`] + [`resilient`] — a blocking client, a load
-//!   generator that replays Zipf/uniform/adversarial workloads over N
-//!   concurrent connections and reports Melem/s, and a resilient client
-//!   wrapper with deadlines, capped backoff, and position resync;
+//! * [`client`] + [`resilient`] — a blocking client and a resilient
+//!   client wrapper with deadlines, capped backoff, and position resync;
 //! * [`metrics`] + [`http`] — live observability: per-op latency
 //!   histograms, per-stream throughput/WAL/floor-trajectory series, and a
 //!   recent-event trace ring, scrapeable via the read-only `Metrics`
@@ -88,7 +86,6 @@ mod conn;
 pub mod error;
 pub mod fault;
 pub mod http;
-pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 pub mod reactor;
@@ -104,10 +101,8 @@ pub mod wire;
 pub use client::{FeedAck, IngestAck, ServiceClient};
 pub use error::ServiceError;
 pub use fault::{FaultPlan, FaultSpec};
-pub use loadgen::{LoadgenConfig, LoadgenReport, LoadgenRetry, Workload};
 pub use metrics::{
-    export_stream_stats, stream_replication_handles, ReplicationHandles, ServiceMetrics,
-    FLOOR_WINDOW_BATCHES,
+    stream_replication_handles, ReplicationHandles, ServiceMetrics, FLOOR_WINDOW_BATCHES,
 };
 pub use protocol::{EstimatorKind, HashFamilyKind, ReplicationStats, StreamConfig, StreamStats};
 pub use reactor::{RateLimit, ReactorConfig};

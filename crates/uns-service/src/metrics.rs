@@ -13,7 +13,6 @@
 //!   atomic adds plus two `Instant` reads; registration (the only
 //!   allocating step) happens once at stream create/restore/recover.
 
-use crate::protocol::StreamStats;
 use crate::wal::{DurabilityStats, WalMetrics};
 use std::sync::Arc;
 use std::time::Duration;
@@ -403,77 +402,10 @@ pub(crate) fn op_label_index(label: &str) -> Option<usize> {
     OP_LABELS.iter().position(|&l| l == label)
 }
 
-/// Exports a point-in-time [`StreamStats`] snapshot (as decoded from the
-/// wire `Stats` opcode) into `registry` under `stream="…"` labels, using
-/// the same family names as the live service — so a dump of a client-side
-/// snapshot is directly diffable against a `/metrics` scrape.
-pub fn export_stream_stats(registry: &MetricsRegistry, stream: &str, stats: &StreamStats) {
-    stats.pipeline.export_into(registry, stream);
-    let labels = [("stream", stream)];
-    registry.counter(METRIC_STREAM_BUSY, HELP_BUSY, &labels).set(stats.busy_rejections);
-    registry
-        .counter(METRIC_STREAM_WAL_BYTES, HELP_WAL_BYTES, &labels)
-        .set(stats.durability.wal_bytes);
-    registry
-        .counter(METRIC_STREAM_WAL_RECORDS, HELP_WAL_RECORDS, &labels)
-        .set(stats.durability.wal_records);
-    registry
-        .counter(METRIC_STREAM_COMPACTIONS, HELP_COMPACTIONS, &labels)
-        .set(stats.durability.snapshot_compactions);
-    registry
-        .counter(METRIC_STREAM_RECOVERIES, HELP_RECOVERIES, &labels)
-        .set(stats.durability.recoveries);
-    let replication = stream_replication_handles(registry, stream);
-    replication.lag.set_u64(stats.replication.lag_records);
-    replication.shipped_bytes.set(stats.replication.shipped_bytes);
-    replication.failovers.set(stats.replication.failovers);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use uns_metrics::parse::{find, parse_exposition};
-
-    #[test]
-    fn export_stream_stats_covers_every_wire_field() {
-        let registry = MetricsRegistry::new();
-        let stats = StreamStats {
-            pipeline: PipelineStats { elements: 10, shards: 2, chunks: 4, admitted: 6, outputs: 8 },
-            busy_rejections: 3,
-            durability: DurabilityStats {
-                wal_bytes: 1111,
-                wal_records: 22,
-                snapshot_compactions: 5,
-                recoveries: 1,
-            },
-            replication: crate::protocol::ReplicationStats {
-                lag_records: 7,
-                shipped_bytes: 4242,
-                failovers: 2,
-            },
-        };
-        export_stream_stats(&registry, "s", &stats);
-        let samples = parse_exposition(&registry.render()).expect("rendered text parses");
-        for (name, want) in [
-            (uns_sim::metrics::METRIC_STREAM_ELEMENTS, 10),
-            (uns_sim::metrics::METRIC_STREAM_SHARDS, 2),
-            (uns_sim::metrics::METRIC_STREAM_BATCHES, 4),
-            (uns_sim::metrics::METRIC_STREAM_ADMITTED, 6),
-            (uns_sim::metrics::METRIC_STREAM_OUTPUTS, 8),
-            (METRIC_STREAM_BUSY, 3),
-            (METRIC_STREAM_WAL_BYTES, 1111),
-            (METRIC_STREAM_WAL_RECORDS, 22),
-            (METRIC_STREAM_COMPACTIONS, 5),
-            (METRIC_STREAM_RECOVERIES, 1),
-            (METRIC_STREAM_REPLICA_LAG, 7),
-            (METRIC_STREAM_REPLICATION_BYTES, 4242),
-            (METRIC_STREAM_FAILOVERS, 2),
-        ] {
-            let sample = find(&samples, name, &[("stream", "s")])
-                .unwrap_or_else(|| panic!("missing {name}"));
-            assert_eq!(sample.value_u64(), Some(want), "{name}");
-        }
-    }
 
     #[test]
     fn floor_window_publishes_min_once_per_window() {

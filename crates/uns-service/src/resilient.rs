@@ -91,56 +91,6 @@ pub struct RetryStats {
     pub failovers: u64,
 }
 
-impl RetryStats {
-    /// Publishes these counters into `registry` as `uns_client_*_total`
-    /// series labeled `client="<client>"` — how a caller folds its
-    /// resilience-layer history into the same exposition the server
-    /// scrapes. Counters are absolute, so this uses set-semantics and can
-    /// be called repeatedly with the latest snapshot.
-    pub fn export_into(&self, registry: &uns_metrics::MetricsRegistry, client: &str) {
-        let labels = &[("client", client)];
-        for (name, help, value) in [
-            (
-                "uns_client_busy_retries_total",
-                "Busy replies retried after backoff.",
-                self.busy_retries,
-            ),
-            (
-                "uns_client_reconnects_total",
-                "Connections re-established after a transport fault.",
-                self.reconnects,
-            ),
-            (
-                "uns_client_resyncs_total",
-                "Position resyncs after an ambiguous mutating op.",
-                self.resyncs,
-            ),
-            (
-                "uns_client_replies_lost_total",
-                "Mutating ops confirmed applied whose reply was lost.",
-                self.replies_lost,
-            ),
-            (
-                "uns_client_budget_exhausted_total",
-                "Logical ops abandoned: retry budget ran out.",
-                self.budget_exhausted,
-            ),
-            (
-                "uns_client_deadlines_exceeded_total",
-                "Logical ops abandoned: op deadline passed.",
-                self.deadlines_exceeded,
-            ),
-            (
-                "uns_client_failovers_total",
-                "Endpoint rotations after a connect failure or NotPrimary bounce.",
-                self.failovers,
-            ),
-        ] {
-            registry.counter(name, help, labels).set(value);
-        }
-    }
-}
-
 /// Outcome of a mutating op under resilience: the normal ack, or proof
 /// that the op applied even though its reply never arrived.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -29,9 +29,9 @@
 //! Queues are **bounded**: when a shard's queue is full the connection
 //! replies [`Response::Busy`] immediately instead of buffering — memory is
 //! bounded by `workers × queue_depth` jobs no matter how many connections
-//! push. Clients retry (the load generator counts these). Creation,
-//! restore and promotion are ordinary jobs too: no request makes a
-//! connection driver wait on a worker or a disk.
+//! push. Clients retry; the stream's `uns_stream_busy_rejections_total`
+//! counts every bounce. Creation, restore and promotion are ordinary jobs
+//! too: no request makes a connection driver wait on a worker or a disk.
 //!
 //! On a replicated durable stream, the owning worker encodes each
 //! mutating op's WAL record once, sends it to every replica, appends and
@@ -88,7 +88,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use uns_core::NodeId;
 use uns_metrics::{Counter, TraceKind};
 use uns_sim::PipelineStats;
@@ -129,8 +129,11 @@ pub struct DurabilityConfig {
     /// ops on the worker, so it never races the state it captures.
     pub compact_bytes: u64,
     /// Optional seeded fault schedule: wraps the backend (torn writes,
-    /// failed fsyncs) and every accepted connection's reply path
-    /// (drops/delays), and injects scheduled worker panics.
+    /// failed fsyncs), injects scheduled worker panics, and wraps the
+    /// reply path (drops/delays) of connections pumped by
+    /// [`Server::handle`] — in-process connections and the non-epoll
+    /// accept-loop fallback. TCP connections served by the reactor see no
+    /// reply faults.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -294,6 +297,11 @@ impl Drop for Reservation {
     }
 }
 
+/// Read and write timeout of every admin HTTP socket
+/// ([`Server::serve_metrics_http`]): a peer that connects and sends
+/// nothing, or stops reading its response, releases its thread after this.
+const ADMIN_IO_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Most identifier buffers the pool retains; beyond this, returned buffers
 /// are simply dropped.
 const POOL_MAX_BUFS: usize = 64;
@@ -305,7 +313,7 @@ const POOL_MAX_BUFS: usize = 64;
 /// cap are dropped on return instead — such batches still work, they just
 /// pay their own allocation — bounding retained pool memory at
 /// `POOL_MAX_BUFS × POOL_MAX_BUF_IDS × 8` bytes (8 MiB), while the
-/// common batch sizes (the load generator uses 4096) stay pooled.
+/// common batch sizes (the benchmark's bulk feed uses 4096) stay pooled.
 const POOL_MAX_BUF_IDS: usize = 1 << 14;
 
 /// Shared recycling pool for identifier-batch buffers (request ids and
@@ -725,7 +733,9 @@ impl Server {
     /// `/healthz` — see [`crate::http`]) until [`Server::stop`] is called.
     /// Runs on the calling thread, one short-lived thread per connection;
     /// scrapes are read-only, so this listener can face an ops network the
-    /// wire protocol does not.
+    /// wire protocol does not. Each socket reads and writes under a fixed
+    /// 2 s timeout, so a peer that connects and stalls holds its thread
+    /// for at most that long per read or write.
     ///
     /// # Errors
     ///
@@ -737,6 +747,8 @@ impl Server {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     stream.set_nonblocking(false).ok();
+                    stream.set_read_timeout(Some(ADMIN_IO_TIMEOUT)).ok();
+                    stream.set_write_timeout(Some(ADMIN_IO_TIMEOUT)).ok();
                     let metrics = Arc::clone(self.metrics());
                     let spawned = if self.take_injected_spawn_failure() {
                         Err(std::io::Error::new(
@@ -2372,25 +2384,32 @@ mod tests {
         let mut client = ServiceClient::new(server.connect_in_process()).unwrap();
         client.create_stream("s", &test_config()).unwrap();
         let batch: Vec<NodeId> = (0..20_000u64).map(NodeId::new).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let mut hammer = ServiceClient::new(server.connect_in_process()).unwrap();
-                let batch = &batch;
-                scope.spawn(move || {
-                    let mut sent = 0u32;
-                    while sent < 30 {
-                        match hammer.ingest("s", batch) {
-                            Ok(_) => sent += 1,
-                            Err(ServiceError::Busy) => {} // retry: backpressure, not loss
-                            Err(err) => panic!("unexpected error: {err}"),
+        let busy_replies: u64 = std::thread::scope(|scope| {
+            let hammers: Vec<_> = (0..4)
+                .map(|_| {
+                    let mut hammer = ServiceClient::new(server.connect_in_process()).unwrap();
+                    let batch = &batch;
+                    scope.spawn(move || {
+                        let (mut sent, mut busy) = (0u32, 0u64);
+                        while sent < 30 {
+                            match hammer.ingest("s", batch) {
+                                Ok(_) => sent += 1,
+                                Err(ServiceError::Busy) => busy += 1, // retry: backpressure, not loss
+                                Err(err) => panic!("unexpected error: {err}"),
+                            }
                         }
-                    }
-                });
-            }
+                        busy
+                    })
+                })
+                .collect();
+            hammers.into_iter().map(|hammer| hammer.join().unwrap()).sum()
         });
         let stats = client.stats("s").unwrap();
         assert_eq!(stats.pipeline.elements, 4 * 30 * 20_000, "every retried batch landed once");
-        assert!(stats.busy_rejections >= 1, "4 connections against a depth-1 queue never saw Busy");
+        assert!(busy_replies >= 1, "4 connections against a depth-1 queue never saw Busy");
+        // A bounce applies nothing and every one is counted: each Busy the
+        // clients saw is one queue-full rejection on the stream's counter.
+        assert_eq!(stats.busy_rejections, busy_replies);
     }
 
     #[test]
@@ -2749,6 +2768,45 @@ mod tests {
             text.contains("uns_accept_spawn_failures_total 2"),
             "spawn failures missing from the rendered metrics:\n{text}"
         );
+    }
+
+    #[test]
+    fn silent_admin_client_is_closed_and_scrapes_keep_answering() {
+        use std::io::{Read, Write};
+        use std::net::TcpStream;
+        let server = Server::start(ServerConfig { workers: 1, queue_depth: 8 });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let bound = 2 * ADMIN_IO_TIMEOUT;
+        // Nothing below may panic inside the scope: the listener only
+        // returns after `stop`, so the results are asserted after it.
+        let (silent, healthz) = std::thread::scope(|scope| {
+            scope.spawn(|| server.serve_metrics_http(listener));
+            // Connect and send nothing; the server must hang up on us.
+            let started = Instant::now();
+            let silent = TcpStream::connect(addr).and_then(|mut conn| {
+                conn.set_read_timeout(Some(bound))?;
+                let read = conn.read(&mut [0u8; 64]);
+                Ok((read.map_err(|err| err.kind()), started.elapsed()))
+            });
+            let healthz = TcpStream::connect(addr).and_then(|mut conn| {
+                conn.set_read_timeout(Some(bound))?;
+                conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")?;
+                let mut response = String::new();
+                conn.read_to_string(&mut response)?;
+                Ok(response)
+            });
+            server.stop();
+            (silent, healthz)
+        });
+        let (read, elapsed) = silent.expect("connect to the admin port");
+        assert!(
+            matches!(read, Ok(0)) || read == Err(std::io::ErrorKind::ConnectionReset),
+            "the silent connection was not closed within {bound:?}: {read:?} after {elapsed:?}"
+        );
+        assert!(elapsed < bound, "closed only after {elapsed:?}");
+        let healthz = healthz.expect("GET /healthz after the silent client");
+        assert!(healthz.starts_with("HTTP/1.1 200") && healthz.ends_with("ok\n"), "{healthz}");
     }
 
     #[test]

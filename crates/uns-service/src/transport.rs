@@ -3,9 +3,9 @@
 //! The server and client speak frames ([`crate::wire`]) over any
 //! [`Transport`] — a reliable, ordered byte stream. Two implementations
 //! ship: [`std::net::TcpStream`] for the real networked service, and an
-//! in-process bounded [`duplex`] pipe so tests and the load generator can
-//! exercise the full protocol path (framing, routing, backpressure)
-//! without sockets or port allocation.
+//! in-process bounded [`duplex`] pipe so tests can exercise the full
+//! protocol path (framing, routing, backpressure) without sockets or port
+//! allocation.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

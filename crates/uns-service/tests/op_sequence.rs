@@ -246,6 +246,12 @@ proptest! {
                 stats.durability.snapshot_compactions,
             ),
             (uns_service::metrics::METRIC_STREAM_RECOVERIES, stats.durability.recoveries),
+            (uns_service::metrics::METRIC_STREAM_REPLICA_LAG, stats.replication.lag_records),
+            (
+                uns_service::metrics::METRIC_STREAM_REPLICATION_BYTES,
+                stats.replication.shipped_bytes,
+            ),
+            (uns_service::metrics::METRIC_STREAM_FAILOVERS, stats.replication.failovers),
         ] {
             let sample = uns_metrics::parse::find(&samples, family, &labels)
                 .unwrap_or_else(|| panic!("exposition lacks {family} for {name}"));

@@ -51,8 +51,8 @@ impl PipelineStats {
 
 /// Registry handles for one stream's pipeline-accounting series, labeled
 /// `stream="…"`. The family names are this module's `METRIC_STREAM_*`
-/// constants, so any exporter of [`PipelineStats`] — the live service and
-/// point-in-time dumps alike — lands on the same series.
+/// constants; these handles are the one way pipeline accounting reaches
+/// an exposition.
 #[derive(Debug)]
 pub struct PipelineSeries {
     /// Stream elements processed ([`PipelineStats::elements`]).
@@ -100,22 +100,15 @@ impl PipelineSeries {
         }
     }
 
-    /// Overwrites every series with the totals in `stats` — restore and
-    /// point-in-time export paths; live instrumentation bumps the handles
-    /// incrementally instead.
+    /// Overwrites every series with the totals in `stats` — the install
+    /// and recovery paths, where the counters resume persisted totals; live
+    /// instrumentation bumps the handles incrementally instead.
     pub fn set_to(&self, stats: &PipelineStats) {
         self.elements.set(stats.elements);
         self.admitted.set(stats.admitted);
         self.outputs.set(stats.outputs);
         self.batches.set(stats.chunks as u64);
         self.shards.set_u64(stats.shards as u64);
-    }
-}
-
-impl PipelineStats {
-    /// Exports this snapshot into `registry` under `stream="…"` labels.
-    pub fn export_into(&self, registry: &MetricsRegistry, stream: &str) {
-        PipelineSeries::register(registry, stream).set_to(self);
     }
 }
 
@@ -191,26 +184,6 @@ mod tests {
         let biased = [100u64, 1, 1, 1];
         let outputs: Vec<&[u64]> = vec![&biased];
         assert!(SimMetrics::mean_kl(&outputs) > 0.5);
-    }
-
-    #[test]
-    fn pipeline_stats_export_round_trips_through_the_registry() {
-        let registry = MetricsRegistry::new();
-        let stats = PipelineStats { elements: 9, shards: 4, chunks: 3, admitted: 5, outputs: 9 };
-        stats.export_into(&registry, "s1");
-        let samples =
-            uns_metrics::parse::parse_exposition(&registry.render()).expect("rendered text parses");
-        let get = |name| {
-            uns_metrics::parse::find(&samples, name, &[("stream", "s1")])
-                .unwrap_or_else(|| panic!("missing {name}"))
-                .value_u64()
-                .expect("integer value")
-        };
-        assert_eq!(get(METRIC_STREAM_ELEMENTS), 9);
-        assert_eq!(get(METRIC_STREAM_ADMITTED), 5);
-        assert_eq!(get(METRIC_STREAM_OUTPUTS), 9);
-        assert_eq!(get(METRIC_STREAM_BATCHES), 3);
-        assert_eq!(get(METRIC_STREAM_SHARDS), 4);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! Starts a **durable** server (WAL + snapshots on runner disk), serves
 //! both listeners — the framed wire protocol through the reactor and the
-//! plain-HTTP admin surface — runs a short load-generator burst, then
-//! scrapes `GET /metrics` over a real socket and asserts that:
+//! plain-HTTP admin surface — runs a short feed burst from two client
+//! connections, then scrapes `GET /metrics` over a real socket and
+//! asserts that:
 //!
 //! * the exposition parses under the strict parser (every line, every
 //!   label, every histogram bucket);
@@ -23,11 +24,39 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use uns_metrics::parse::find;
-use uns_service::loadgen::{create_and_run, LoadgenConfig, LoadgenRetry, Workload};
 use uns_service::protocol::{EstimatorKind, HashFamilyKind, StreamConfig};
 use uns_service::server::{DurabilityConfig, Server, ServerConfig};
-use uns_service::{DirBackend, ReactorConfig, ServiceClient};
+use uns_service::{DirBackend, ReactorConfig, ServiceClient, ServiceError};
+use uns_streams::{IdDistribution, IdStream};
+
+/// Client connections feeding the burst.
+const CONNECTIONS: u64 = 2;
+/// Elements per `FeedBatch`.
+const BATCH_LEN: usize = 1024;
+/// Batches per connection: enough (64 × 1024 elements per connection) to
+/// complete several floor-trajectory windows.
+const BATCHES: usize = 64;
+
+/// Feeds `ids` to `stream` in [`BATCH_LEN`] batches, retrying a batch
+/// after a short pause whenever the server answers `Busy`.
+fn feed_all(
+    client: &mut ServiceClient<TcpStream>,
+    stream: &str,
+    ids: &[uns_core::NodeId],
+) -> Result<(), ServiceError> {
+    for batch in ids.chunks(BATCH_LEN) {
+        loop {
+            match client.feed_batch(stream, batch) {
+                Ok(_) => break,
+                Err(ServiceError::Busy) => std::thread::sleep(Duration::from_micros(200)),
+                Err(err) => return Err(err),
+            }
+        }
+    }
+    Ok(())
+}
 
 fn scrape(addr: std::net::SocketAddr, path: &str) -> Result<String, Box<dyn std::error::Error>> {
     let mut conn = TcpStream::connect(addr)?;
@@ -58,9 +87,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scope.spawn(|| server.serve_reactor(wire, ReactorConfig::default()));
         scope.spawn(|| server.serve_metrics_http(admin));
 
-        let connect = || {
-            let stream = TcpStream::connect(wire_addr).map_err(uns_service::ServiceError::from)?;
-            stream.set_nodelay(true).map_err(uns_service::ServiceError::from)?;
+        let connect = move || -> Result<TcpStream, ServiceError> {
+            let stream = TcpStream::connect(wire_addr)?;
+            stream.set_nodelay(true)?;
             Ok(stream)
         };
         let stream_config = StreamConfig {
@@ -71,22 +100,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             seed: 42,
             family: HashFamilyKind::Mersenne,
         };
-        // Enough batches (64 × 1024 elements per connection) to complete
-        // several floor-trajectory windows.
-        let config = LoadgenConfig {
-            connections: 2,
-            elements_per_connection: 64 * 1024,
-            batch_len: 1024,
-            workload: Workload::Uniform { domain: 50_000 },
-            seed: 7,
-            feed: true,
-            retry: LoadgenRetry::default(),
-        };
-        let report = create_and_run(connect, "smoke", &stream_config, &config)?;
+        ServiceClient::new(connect()?)?.create_stream("smoke", &stream_config)?;
+        let slices = (0..CONNECTIONS)
+            .map(|i| {
+                Ok(IdStream::new(IdDistribution::uniform(50_000)?, 7 + i)
+                    .take_vec(BATCHES * BATCH_LEN))
+            })
+            .collect::<Result<Vec<_>, Box<dyn std::error::Error>>>()?;
+        let started = Instant::now();
+        let feeders: Vec<_> = slices
+            .into_iter()
+            .map(|ids| {
+                scope.spawn(move || feed_all(&mut ServiceClient::new(connect()?)?, "smoke", &ids))
+            })
+            .collect();
+        for feeder in feeders {
+            feeder.join().expect("feeder panicked")?;
+        }
+        let fed = CONNECTIONS * (BATCHES * BATCH_LEN) as u64;
         println!(
-            "loadgen: {} elements at {:.2} Melem/s (durable, per-op fsync)",
-            report.elements,
-            report.melem_per_s()
+            "feed burst: {fed} elements at {:.2} Melem/s (durable, per-op fsync)",
+            fed as f64 / started.elapsed().as_secs_f64() / 1e6
         );
 
         // --- HTTP scrape: strict-parse, then assert the key series. ---
@@ -101,9 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 find(&samples, family, &labels).ok_or_else(|| format!("missing {family}"))?;
             let value = sample.value_u64().ok_or_else(|| format!("{family} not integral"))?;
             if value == 0 {
-                return Err(
-                    format!("{family} is zero after a {}-element run", report.elements).into()
-                );
+                return Err(format!("{family} is zero after a {fed}-element run").into());
             }
             Ok(value)
         };

@@ -21,7 +21,7 @@
 //! * [`streams`] — attack distributions and trace surrogates;
 //! * [`sim`] — the gossip overlay simulator;
 //! * [`service`] — the networked sampling service (framed wire protocol,
-//!   multi-tenant server, snapshot/restore, load generator);
+//!   multi-tenant server, snapshot/restore, write-ahead log);
 //! * [`metrics`] — lock-free counters/gauges/histograms, the Prometheus
 //!   text exposition renderer, and the structured trace ring behind the
 //!   service's `/metrics` surface.
