@@ -19,12 +19,30 @@
 //!   every byte not covered by a `sync` — the crash-recovery tests use it to
 //!   place crash points *exactly*, something a real filesystem cannot do
 //!   deterministically.
+//!
+//! # Zero-filled preallocation
+//!
+//! [`DirBackend`]'s log files grow in zero-filled 64 KiB chunks ahead of the
+//! records: an append that stays inside the allocated region does not change
+//! the file's size, so its `fdatasync` commits data only, not a size update
+//! through the filesystem journal — only the one append per chunk that
+//! crosses the allocated end pays for that. The writer's handle keeps the
+//! *logical* end, so its `len` and `read_all` see exactly the records; any
+//! other handle (a generation probe, a replication attach read) sees the file
+//! as it is, records followed by a zero tail — the same bytes a crash image
+//! holds. A zero tail is a torn tail to [`crate::wal::parse_wal`] (a record
+//! length of 0 is invalid), so recovery truncates it like any other. The
+//! writer trims the tail when it is dropped, so an orderly close leaves the
+//! log byte-exact; a handle that another writer has since replaced (it
+//! truncated the same file after this one last did) leaves the file alone.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One stream's append-only write-ahead-log storage.
 ///
@@ -38,6 +56,10 @@ use std::sync::{Arc, Mutex};
 /// * [`truncate`](WalStore::truncate) discards everything past `len` — the
 ///   repair operation after a torn write and the tail cleanup after
 ///   recovery.
+/// * [`len`](WalStore::len) and [`read_all`](WalStore::read_all) are
+///   *logical* on the handle that writes the log: they cover exactly the
+///   bytes it appended. Any other handle may see a zero tail after them, as
+///   a crash image does; readers must treat zeros as a torn tail.
 // `len` is fallible and `&mut` (it may query the file); an `is_empty`
 // shim would be neither clearer nor cheaper.
 #[allow(clippy::len_without_is_empty)]
@@ -203,7 +225,14 @@ impl StorageBackend for DirBackend {
             .create(true)
             .truncate(false)
             .open(self.wal_path(stream))?;
-        Ok(Box::new(FileWalStore { file }))
+        let meta = file.metadata()?;
+        Ok(Box::new(FileWalStore {
+            file,
+            key: (meta.dev(), meta.ino()),
+            ticket: None,
+            end: 0,
+            allocated: 0,
+        }))
     }
 
     fn write_snapshot(&self, stream: &str, bytes: &[u8]) -> io::Result<()> {
@@ -261,16 +290,71 @@ impl StorageBackend for DirBackend {
     }
 }
 
-/// A [`WalStore`] over a real file. Appends always land at the current end
-/// of the file; `sync` is `fdatasync`-class (`sync_data`).
+/// Growth step of a log file: appends past the allocated end extend the
+/// file with zeros to the next multiple of this.
+const CHUNK: u64 = 64 * 1024;
+
+/// The zeros an extension writes; static, so growing the file allocates
+/// nothing.
+static ZEROS: [u8; CHUNK as usize] = [0; CHUNK as usize];
+
+/// The handle that owns each log file's tail, by `(device, inode)`: the
+/// one that last truncated it. Only the owner trims the zero tail when it
+/// is dropped, so a writer replaced by a newer one on the same file (a
+/// restore, an in-place heal) can never cut the newer writer's records.
+static TAIL_OWNERS: Mutex<BTreeMap<(u64, u64), u64>> = Mutex::new(BTreeMap::new());
+
+/// Source of the tickets [`TAIL_OWNERS`] records.
+static NEXT_TICKET: AtomicU64 = AtomicU64::new(1);
+
+/// A [`WalStore`] over a real file, preallocated in zero-filled
+/// [`CHUNK`]s (see the module docs). Appends are positional writes at the
+/// logical end; `sync` is `fdatasync`-class (`sync_data`).
+///
+/// A handle becomes the file's writer at its first `truncate` or `append`;
+/// until then `len` and `read_all` report the file as it is.
 struct FileWalStore {
     file: File,
+    /// `(device, inode)`: the file's key in [`TAIL_OWNERS`].
+    key: (u64, u64),
+    /// This handle's ownership ticket, once it is the writer.
+    ticket: Option<u64>,
+    /// Logical end: where the next append lands (valid once the writer).
+    end: u64,
+    /// File length as this writer left it; `end..allocated` is zeros.
+    allocated: u64,
+}
+
+impl FileWalStore {
+    /// Makes this handle the writer and the owner of the file's tail. Runs
+    /// before the file changes, so a dropped handle that still sees itself
+    /// as owner under the lock never trims a newer writer's bytes.
+    fn claim(&mut self) {
+        let ticket =
+            *self.ticket.get_or_insert_with(|| NEXT_TICKET.fetch_add(1, Ordering::Relaxed));
+        TAIL_OWNERS.lock().expect("wal tail owner lock poisoned").insert(self.key, ticket);
+    }
 }
 
 impl WalStore for FileWalStore {
     fn append(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        self.file.seek(SeekFrom::End(0))?;
-        self.file.write(bytes)
+        if self.ticket.is_none() {
+            self.end = self.file.metadata()?.len();
+            self.allocated = self.end;
+            self.claim();
+        }
+        let new_end = self.end + bytes.len() as u64;
+        self.file.write_all_at(bytes, self.end)?;
+        // An append at offset 0 is a fresh log's header: written exactly,
+        // so creating a log does not pay for a chunk.
+        if new_end > self.allocated && self.end > 0 {
+            let boundary = new_end.next_multiple_of(CHUNK);
+            self.file.write_all_at(&ZEROS[..(boundary - new_end) as usize], new_end)?;
+            self.allocated = boundary;
+        }
+        self.allocated = self.allocated.max(new_end);
+        self.end = new_end;
+        Ok(bytes.len())
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -278,10 +362,18 @@ impl WalStore for FileWalStore {
     }
 
     fn len(&mut self) -> io::Result<u64> {
-        Ok(self.file.metadata()?.len())
+        match self.ticket {
+            Some(_) => Ok(self.end),
+            None => Ok(self.file.metadata()?.len()),
+        }
     }
 
     fn read_all(&mut self) -> io::Result<Vec<u8>> {
+        if self.ticket.is_some() {
+            let mut bytes = vec![0; usize::try_from(self.end).map_err(io::Error::other)?];
+            self.file.read_exact_at(&mut bytes, 0)?;
+            return Ok(bytes);
+        }
         self.file.seek(SeekFrom::Start(0))?;
         let mut bytes = Vec::new();
         self.file.read_to_end(&mut bytes)?;
@@ -289,8 +381,27 @@ impl WalStore for FileWalStore {
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.claim();
         self.file.set_len(len)?;
+        self.end = len;
+        self.allocated = len;
         self.file.sync_data()
+    }
+}
+
+impl Drop for FileWalStore {
+    /// The orderly close: the owning writer trims the zero tail, leaving
+    /// the log byte-exact. Unsynced, like any close; a crash before the
+    /// size change lands leaves a zero tail, which recovery discards.
+    fn drop(&mut self) {
+        let Some(ticket) = self.ticket else { return };
+        let mut owners = TAIL_OWNERS.lock().unwrap_or_else(PoisonError::into_inner);
+        if owners.get(&self.key) == Some(&ticket) {
+            owners.remove(&self.key);
+            if self.end < self.allocated {
+                let _ = self.file.set_len(self.end);
+            }
+        }
     }
 }
 
@@ -442,6 +553,10 @@ impl WalStore for MemWalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{
+        encode_record, encode_wal_header, parse_wal, FsyncPolicy, WalHeader, WalOp, WalOpRef,
+        WalWriter, WAL_HEADER_LEN,
+    };
 
     #[test]
     fn name_encoding_round_trips() {
@@ -486,14 +601,37 @@ mod tests {
         assert_eq!(backend.list_streams().unwrap(), vec!["b".to_string()]);
     }
 
-    #[test]
-    fn dir_backend_round_trips_through_real_files() {
+    /// A fresh directory under the system temp dir, unique per test thread.
+    fn temp_root(tag: &str) -> PathBuf {
         let root = std::env::temp_dir().join(format!(
-            "uns-storage-test-{}-{:?}",
+            "uns-storage-{tag}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
+    /// Length of `stream`'s log file on disk, zero tail included.
+    fn file_len(backend: &DirBackend, stream: &str) -> u64 {
+        std::fs::metadata(backend.wal_path(stream)).unwrap().len()
+    }
+
+    /// `count` records of `width` ids each, framed as the writer frames them.
+    fn records(count: u64, width: u64) -> Vec<Vec<u8>> {
+        (0..count)
+            .map(|i| {
+                let ids: Vec<_> = (i * width..(i + 1) * width).map(uns_core::NodeId::new).collect();
+                let mut record = Vec::new();
+                encode_record(&mut record, WalOpRef::Feed(&ids));
+                record
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dir_backend_round_trips_through_real_files() {
+        let root = temp_root("round-trip");
         let backend = DirBackend::create(&root).unwrap();
         assert!(backend.read_snapshot("s").unwrap().is_none());
         assert!(backend.list_streams().unwrap().is_empty());
@@ -515,14 +653,130 @@ mod tests {
         assert_eq!(backend.read_snapshot("stream/α").unwrap().as_deref(), Some(&b"blob-2"[..]));
         assert_eq!(backend.list_streams().unwrap(), vec!["stream/α".to_string()]);
 
-        // A fresh handle over the same directory sees the same state.
+        // A fresh handle on the *live* log sees the written bytes, then
+        // only zeros: the preallocated tail, as a crash image holds it.
         let reopened = DirBackend::create(&root).unwrap();
+        let live = reopened.open_wal("stream/α").unwrap().read_all().unwrap();
+        assert_eq!(&live[..6], b"hello!");
+        assert!(live.len() > 6 && live[6..].iter().all(|&b| b == 0));
+        // After the writer's orderly close, a fresh handle sees exactly
+        // the bytes written.
+        drop(wal);
         let mut wal2 = reopened.open_wal("stream/α").unwrap();
         assert_eq!(wal2.read_all().unwrap(), b"hello!");
+
+        // The same holds for a real log: the live view parses exactly as
+        // the bytes written do.
+        let mut log = Vec::new();
+        encode_wal_header(&mut log, 1, 0);
+        let mut writer = backend.open_wal("log").unwrap();
+        writer.truncate(0).unwrap();
+        writer.append(&log).unwrap();
+        for record in records(3, 4) {
+            writer.append(&record).unwrap();
+            log.extend_from_slice(&record);
+        }
+        let live = reopened.open_wal("log").unwrap().read_all().unwrap();
+        assert!(live.len() > log.len());
+        assert_eq!(parse_wal(&live), parse_wal(&log));
+        assert_eq!(parse_wal(&log).records.len(), 3);
+        drop(writer);
+        assert_eq!(reopened.open_wal("log").unwrap().read_all().unwrap(), log);
 
         backend.remove_stream("stream/α").unwrap();
         assert!(backend.read_snapshot("stream/α").unwrap().is_none());
         assert!(backend.list_streams().unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn live_logs_grow_only_at_chunk_boundaries_and_close_byte_exact() {
+        let root = temp_root("chunks");
+        let backend = DirBackend::create(&root).unwrap();
+        let mut writer =
+            WalWriter::create(backend.open_wal("s").unwrap(), 1, 0, FsyncPolicy::PerOp).unwrap();
+        // Creating a log writes its header exactly: no chunk is paid.
+        assert_eq!(file_len(&backend, "s"), WAL_HEADER_LEN as u64);
+        let mut sizes = Vec::new();
+        for record in records(100, 128) {
+            writer.append_record(&record).unwrap();
+            let len = file_len(&backend, "s");
+            assert_eq!(len % CHUNK, 0, "the live file grew to {len}, off a chunk boundary");
+            assert!(len >= writer.len());
+            sizes.push(len);
+        }
+        // 100 records of ~1 KiB span two chunks: the file grew exactly twice.
+        sizes.dedup();
+        assert_eq!(sizes, vec![CHUNK, 2 * CHUNK]);
+        // A reset re-extends with fresh zeros, never recycling old bytes.
+        writer.reset(100).unwrap();
+        assert_eq!(file_len(&backend, "s"), WAL_HEADER_LEN as u64);
+        writer.append_op(WalOpRef::Sample).unwrap();
+        assert_eq!(file_len(&backend, "s"), CHUNK);
+        let logical = writer.len();
+        drop(writer);
+        assert_eq!(file_len(&backend, "s"), logical, "the orderly close trims the zero tail");
+        let parsed = parse_wal(&backend.open_wal("s").unwrap().read_all().unwrap());
+        assert_eq!(parsed.header, Some(WalHeader { generation: 1, base_seq: 100 }));
+        assert_eq!(parsed.records, vec![WalOp::Sample]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_second_handle_never_shrinks_a_live_log() {
+        let root = temp_root("second-handle");
+        let backend = DirBackend::create(&root).unwrap();
+        let mut writer =
+            WalWriter::create(backend.open_wal("s").unwrap(), 1, 0, FsyncPolicy::PerOp).unwrap();
+        for record in records(4, 8) {
+            writer.append_record(&record).unwrap();
+        }
+        // The generation probe and the replication attach read: open, read
+        // the whole file, drop.
+        for _ in 0..2 {
+            let mut probe = backend.open_wal("s").unwrap();
+            assert_eq!(probe.len().unwrap(), CHUNK);
+            assert_eq!(parse_wal(&probe.read_all().unwrap()).records.len(), 4);
+            drop(probe);
+            assert_eq!(file_len(&backend, "s"), CHUNK, "a dropped reader shrank the live log");
+        }
+        writer.append_op(WalOpRef::Sample).unwrap();
+        let logical = writer.len();
+        drop(writer);
+        assert_eq!(file_len(&backend, "s"), logical);
+        assert_eq!(parse_wal(&backend.open_wal("s").unwrap().read_all().unwrap()).records.len(), 5);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_replaced_writer_never_cuts_the_new_writers_records() {
+        let root = temp_root("replaced");
+        let backend = DirBackend::create(&root).unwrap();
+        // Either the old writer's logical end falls inside the new one's
+        // records (the hazard: trimming there would cut them), or beyond
+        // them (trimming there would re-grow the file).
+        for (old_records, new_records) in [(1u64, 20u64), (20, 1)] {
+            let open = || backend.open_wal("s").unwrap();
+            let mut old = WalWriter::create(open(), 1, 0, FsyncPolicy::PerOp).unwrap();
+            for record in records(old_records, 16) {
+                old.append_record(&record).unwrap();
+            }
+            let mut new = WalWriter::create(open(), 2, 0, FsyncPolicy::PerOp).unwrap();
+            for record in records(new_records, 16) {
+                new.append_record(&record).unwrap();
+            }
+            let before = file_len(&backend, "s");
+            drop(old);
+            assert_eq!(file_len(&backend, "s"), before, "the replaced writer changed the file");
+            let parsed = parse_wal(&open().read_all().unwrap());
+            assert_eq!(parsed.header, Some(WalHeader { generation: 2, base_seq: 0 }));
+            assert_eq!(parsed.records.len() as u64, new_records);
+            assert_eq!(parsed.valid_len, new.len());
+            new.append_op(WalOpRef::Sample).unwrap();
+            let logical = new.len();
+            drop(new);
+            assert_eq!(file_len(&backend, "s"), logical, "the current writer still trims");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }

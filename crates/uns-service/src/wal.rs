@@ -47,6 +47,16 @@
 //! validates claimed counts against the bytes actually present *before*
 //! allocating, mirroring the snapshot decoders).
 //!
+//! The file may carry a **zero tail** after the last record: a real-file
+//! store preallocates its log in zero-filled chunks so that a per-op
+//! `fdatasync` does not also commit a file-size change
+//! ([`crate::storage`]). A crash image, or a second handle on a live log,
+//! shows those zeros; a record length of 0 is invalid, so the walk stops
+//! where the tail starts, exactly as at a torn record, and recovery
+//! truncates the file to the valid prefix. The writer trims the tail at
+//! its orderly close, so a cleanly stopped node leaves a log that ends at
+//! its last record.
+//!
 //! # Fsync policies and their loss windows
 //!
 //! * [`FsyncPolicy::PerOp`] — sync before acknowledging every op. Zero
@@ -364,12 +374,6 @@ pub fn parse_wal(bytes: &[u8]) -> ParsedWal {
 // The writer
 // ---------------------------------------------------------------------------
 
-/// Append side of one stream's log: frames records, enforces the fsync
-/// policy, repairs torn writes, and tracks the cumulative counters the
-/// `Stats` op reports.
-///
-/// # Torn-write repair
-///
 /// Registry handles a [`WalWriter`] feeds on its own append/fsync path
 /// when installed via [`WalWriter::set_metrics`]. The byte/record counters
 /// are the stream's lifetime series: the writer bumps them per successful
@@ -386,6 +390,12 @@ pub struct WalMetrics {
     pub records: Arc<Counter>,
 }
 
+/// Append side of one stream's log: frames records, enforces the fsync
+/// policy, repairs torn writes, and tracks the cumulative counters the
+/// `Stats` op reports.
+///
+/// # Torn-write repair
+///
 /// [`WalStore::append`] may land a prefix and then fail. The writer then
 /// *truncates the store back to the last known-good length*: the log stays
 /// parseable and the next record lands cleanly. If that repair truncation

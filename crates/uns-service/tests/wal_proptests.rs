@@ -103,6 +103,44 @@ proptest! {
         }
     }
 
+    /// A zero tail — what a preallocated log file holds after its last
+    /// record, seen by a second handle on a live log or in a crash image —
+    /// is a torn tail. Any number of zeros after an intact log, or after a
+    /// torn prefix of its last record, changes neither the records parsed
+    /// nor `valid_len`. The torn prefix misses at least one nonzero byte of
+    /// the record: a prefix whose missing bytes are all zeros is the whole
+    /// record, on disk as written.
+    #[test]
+    fn zero_tails_parse_like_the_log_without_them(
+        seed in any::<u64>(),
+        count in 1usize..12,
+        torn in any::<bool>(),
+        cut_mille in 0u32..1000,
+        zeros in 0usize..(2 * 65_536),
+    ) {
+        let ops = ops_from_seed(seed, count);
+        let intact = build_log(3, 11, &ops);
+        let mut bytes = intact.clone();
+        let mut want = ops.clone();
+        if torn {
+            let without_last = build_log(3, 11, &ops[..count - 1]);
+            let last = &intact[without_last.len()..];
+            let last_nonzero = last.iter().rposition(|&b| b != 0).expect("records are nonzero");
+            let cut = last_nonzero * cut_mille as usize / 1000;
+            bytes = without_last;
+            bytes.extend_from_slice(&last[..cut]);
+            want.pop();
+        }
+        let parsed = parse_wal(&bytes);
+        prop_assert_eq!(&parsed.records, &want);
+        bytes.resize(bytes.len() + zeros, 0);
+        let padded = parse_wal(&bytes);
+        prop_assert_eq!(padded.header, Some(WalHeader { generation: 3, base_seq: 11 }));
+        prop_assert_eq!(&padded.records, &want);
+        prop_assert_eq!(&padded.record_ends, &parsed.record_ends);
+        prop_assert_eq!(padded.valid_len, parsed.valid_len);
+    }
+
     /// A single bit flip is CRC-detected: parsing never panics, and every
     /// record it does return is one of the originals, uncorrupted.
     #[test]
