@@ -106,7 +106,7 @@ struct Pair {
 }
 
 impl Pair {
-    fn client(&self) -> ServiceClient<uns_service::PipeTransport> {
+    fn client(&self) -> ServiceClient<std::os::unix::net::UnixStream> {
         ServiceClient::new(self.primary.connect_in_process()).expect("client")
     }
 

@@ -94,8 +94,9 @@ impl fmt::Display for TraceKind {
 /// pushing an event allocates nothing once the ring is at capacity.
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
-    /// Deterministic sequence number: `seq_base + n` for the ring's n-th
-    /// event ever, so two runs with the same seed produce comparable ids.
+    /// Deterministic sequence number: `n` for the ring's n-th event ever
+    /// (counting from 0), so two runs with the same seed produce
+    /// comparable ids.
     pub seq: u64,
     /// What happened.
     pub kind: TraceKind,
@@ -124,10 +125,10 @@ impl fmt::Display for TraceEvent {
 /// batches), never the per-element path. The ring is pre-allocated, so a
 /// push at capacity allocates nothing; the oldest event is dropped.
 ///
-/// Sequence numbers are **seeded**: they start at the base passed to
-/// [`TraceLog::with_seq_base`] (default 0) and increment by one per event,
-/// so runs driven by the same deterministic schedule produce events with
-/// identical sequence numbers even after the ring has wrapped.
+/// Sequence numbers are **deterministic**: they start at 0 and increment
+/// by one per event, so runs driven by the same deterministic schedule
+/// produce events with identical sequence numbers even after the ring has
+/// wrapped.
 #[derive(Debug)]
 pub struct TraceLog {
     events: Mutex<VecDeque<TraceEvent>>,
@@ -136,18 +137,12 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// A ring holding the last `capacity` events, sequence base 0.
+    /// A ring holding the last `capacity` events, first event numbered 0.
     pub fn new(capacity: usize) -> Self {
-        Self::with_seq_base(capacity, 0)
-    }
-
-    /// A ring holding the last `capacity` events, first event numbered
-    /// `seq_base`.
-    pub fn with_seq_base(capacity: usize, seq_base: u64) -> Self {
         let capacity = capacity.max(1);
         Self {
             events: Mutex::new(VecDeque::with_capacity(capacity)),
-            next_seq: AtomicU64::new(seq_base),
+            next_seq: AtomicU64::new(0),
             capacity,
         }
     }
@@ -183,8 +178,7 @@ impl TraceLog {
         self.capacity
     }
 
-    /// Total events ever recorded (`seq_base` subtracted out by the caller
-    /// if it needs the count relative to a seeded base).
+    /// Total events ever recorded: the sequence number the next event gets.
     pub fn next_seq(&self) -> u64 {
         self.next_seq.load(Ordering::Relaxed)
     }
@@ -207,17 +201,17 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_keeps_seeded_sequence_numbers() {
-        let log = TraceLog::with_seq_base(3, 100);
+        let log = TraceLog::new(3);
         let stream: Arc<str> = Arc::from("s");
         for i in 0..5u64 {
             log.push(TraceKind::Compaction, &stream, i, 0);
         }
         let events = log.events();
         assert_eq!(events.len(), 3);
-        // Oldest two dropped; sequence numbers keep counting from the base.
-        assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![102, 103, 104]);
+        // Oldest two dropped; sequence numbers keep counting from 0.
+        assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
         assert_eq!(events[0].a, 2);
-        assert_eq!(log.next_seq(), 105);
+        assert_eq!(log.next_seq(), 5);
         assert_eq!(log.capacity(), 3);
         assert!(!log.is_empty());
     }

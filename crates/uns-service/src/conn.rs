@@ -7,8 +7,8 @@
 //! [`Dispatch`]es, reply bytes ([`Conn::output`]), and whether the
 //! connection is done ([`Conn::finished`]). Two drivers run it: the epoll
 //! reactor for TCP ([`crate::reactor`]) and [`pump`], a blocking loop over
-//! any [`Transport`] — in-process pipes, fault-injecting wrappers, and TCP
-//! where the poller is unsupported. The rules below therefore hold for
+//! any [`Transport`] — in-process socket pairs, fault-injecting wrappers,
+//! and TCP where the poller is unsupported. The rules below therefore hold for
 //! every connection the server has:
 //!
 //! * **Framing** — `[u32 len][body]` frames are reassembled from any

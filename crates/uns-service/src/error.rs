@@ -7,7 +7,7 @@ use std::fmt;
 /// server and client alike.
 #[derive(Debug)]
 pub enum ServiceError {
-    /// An underlying socket / pipe operation failed.
+    /// An underlying socket or file operation failed.
     Io(std::io::Error),
     /// A frame or payload violated the wire protocol.
     Protocol(String),

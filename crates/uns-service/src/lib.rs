@@ -12,17 +12,17 @@
 //!
 //! Std-only by design: the build containers have no registry access, so
 //! networking is a readiness-based [`reactor`] (one thread, a vendored
-//! `epoll` poller) over [`std::net::TcpStream`], with an in-process pipe
-//! [`transport`] for tests and benchmarks. Both run the same sans-IO
-//! connection core, so framing, reply order and admission do not depend
-//! on the transport.
+//! `epoll` poller) over [`std::net::TcpStream`], with in-process
+//! connections over a [`std::os::unix::net::UnixStream`] pair (see
+//! [`transport`]) for tests. Both run the same sans-IO connection core, so
+//! framing, reply order and admission do not depend on the transport.
 //!
 //! # Pieces
 //!
 //! * [`wire`] + [`protocol`] — a framed, versioned binary protocol
 //!   (length-prefixed frames, op codes for `CreateStream`, `Ingest`,
 //!   `FeedBatch`, `Sample`, `FloorEstimate`, `Snapshot`, `Restore`,
-//!   `Stats`) with zero-copy batch decode;
+//!   `Stats`, `Metrics`, `Replicate`) with zero-copy batch decode;
 //! * [`server`] — the multi-tenant server: named streams, each owning a
 //!   knowledge-free sampler (estimator kind and `c`/`k`/`s` chosen at
 //!   stream creation), a worker pool that serializes every stream through
@@ -112,5 +112,5 @@ pub use server::{
     DurabilityConfig, PendingAcks, ReplicaHandler, ReplicationSink, Server, ServerConfig,
 };
 pub use storage::{DirBackend, MemBackend, StorageBackend};
-pub use transport::{duplex, PipeTransport, Transport};
+pub use transport::Transport;
 pub use wal::{DurabilityStats, FsyncPolicy};

@@ -119,12 +119,6 @@ pub struct ServiceMetrics {
 impl ServiceMetrics {
     /// A fresh registry + trace ring for a server with `workers` workers.
     pub fn new(workers: usize) -> Self {
-        Self::with_trace_seq_base(workers, 0)
-    }
-
-    /// Like [`ServiceMetrics::new`] with a seeded trace sequence base, so
-    /// deterministic runs produce comparable event ids.
-    pub fn with_trace_seq_base(workers: usize, seq_base: u64) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         registry
             .gauge("uns_server_workers", "Worker threads serving stream queues.", &[])
@@ -153,7 +147,7 @@ impl ServiceMetrics {
         let wal_fsync = registry.histogram("uns_wal_fsync_nanos", "Latency of one WAL fsync.", &[]);
         Self {
             registry,
-            trace: Arc::new(TraceLog::with_seq_base(TRACE_CAPACITY, seq_base)),
+            trace: Arc::new(TraceLog::new(TRACE_CAPACITY)),
             queue_depth,
             op_latency,
             wal_append,

@@ -8,8 +8,9 @@
 //! that owns the listener and every connection socket through the
 //! vendored [`epoll`] poller. It drives each socket's bytes through the
 //! sans-IO connection core (`conn.rs`) — the same state machine
-//! in-process pipes run — and hands complete requests to the worker pool
-//! through the bounded queues, collecting replies from a completion queue.
+//! in-process socket pairs run — and hands complete requests to the worker
+//! pool through the bounded queues, collecting replies from a completion
+//! queue.
 //! Nothing it runs waits on a worker or a disk: creation and restore are
 //! worker jobs like any other, replica shipments are jobs on the replica
 //! applier, and only the CPU-only `Metrics` render is answered on the
@@ -469,7 +470,7 @@ mod tests {
         // Same ops through the blocking in-process path and the reactor:
         // the snapshots must be byte-identical.
         let blocking = Server::start(ServerConfig { workers: 2, queue_depth: 16 });
-        let mut reference = ServiceClient::new(blocking.connect_in_process()).expect("pipe client");
+        let mut reference = ServiceClient::new(blocking.connect_in_process()).expect("client");
         reference.create_stream("s", &stream_config()).expect("create");
         reference.feed_batch("s", &ids(2000)).expect("feed");
         let want = reference.snapshot("s").expect("snapshot");

@@ -14,9 +14,9 @@
 //!
 //! Every connection runs the one sans-IO connection core (`conn.rs`),
 //! driven by the epoll [`crate::reactor`] for TCP or by a blocking pump
-//! thread for in-process pipes. Both hand worker-bound requests to the
-//! same router, so framing, reply order and admission are one mechanism
-//! whatever the transport.
+//! thread for in-process socket pairs. Both hand worker-bound requests to
+//! the same router, so framing, reply order and admission are one
+//! mechanism whatever the transport.
 //!
 //! Every named stream is owned by exactly **one** worker (assigned
 //! round-robin at creation), so all operations on a stream are serialized
@@ -84,6 +84,7 @@ use crate::wal::{
 use std::collections::HashMap;
 use std::fmt;
 use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
@@ -479,7 +480,7 @@ pub struct Server {
 
 impl Server {
     /// Starts the worker pool. No connections are accepted yet — pass
-    /// transports to [`Server::handle`], in-process pipes from
+    /// transports to [`Server::handle`], in-process socket pairs from
     /// [`Server::connect_in_process`], or a listener to
     /// [`Server::serve_reactor`].
     pub fn start(config: ServerConfig) -> Self {
@@ -675,10 +676,16 @@ impl Server {
         self.fail_spawns.store(n, Ordering::Relaxed);
     }
 
-    /// Opens an in-process connection: the returned transport speaks the
-    /// full wire protocol to this server without any socket.
-    pub fn connect_in_process(&self) -> crate::transport::PipeTransport {
-        let (client, server) = crate::transport::duplex(1 << 16);
+    /// Opens an in-process connection: one end of a Unix socket pair whose
+    /// other end this server serves, speaking the full wire protocol
+    /// without a listener or port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `socketpair` fails, as it does when the process or the
+    /// system runs out of file descriptors.
+    pub fn connect_in_process(&self) -> UnixStream {
+        let (client, server) = UnixStream::pair().expect("socketpair for an in-process connection");
         self.handle(server);
         client
     }

@@ -8,9 +8,9 @@
 //! ```
 //!
 //! The length prefix makes the stream self-delimiting over any reliable
-//! byte transport (TCP, an in-process pipe); the version byte makes the
-//! protocol evolvable (a peer rejects versions it does not speak instead
-//! of misparsing); the opcode dispatches the payload codec
+//! byte transport (TCP, an in-process Unix socket pair); the version byte
+//! makes the protocol evolvable (a peer rejects versions it does not speak
+//! instead of misparsing); the opcode dispatches the payload codec
 //! ([`crate::protocol`]). All integers are little-endian. Frames are
 //! capped at [`MAX_FRAME_LEN`] so a corrupt or malicious length prefix
 //! cannot make a peer allocate unbounded memory.

@@ -1,6 +1,6 @@
 //! End-to-end exactness of the networked service. Driving a workload
-//! through the service (any connection count, in-process pipe or reactor
-//! TCP — both run the same connection core) must leave sampler memory,
+//! through the service (any connection count, in-process socket pair or
+//! reactor TCP — both run the same connection core) must leave sampler memory,
 //! estimator cells and RNG state **bit-equal** to a sequential in-process
 //! `feed` of the same stream order; and snapshot → restore → feed must be
 //! bit-equal to never having stopped.

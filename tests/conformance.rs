@@ -17,8 +17,8 @@
 //!    the delta-log pipeline is Count-Min-specific), seeded through
 //!    [`uns_core::derive_estimator_seed`] so it builds the *same* sampler
 //!    a `StreamConfig` describes;
-//! 3. **service** — a real `uns-service` server over the in-process pipe
-//!    transport, batched `FeedBatch` requests with `Busy` retry.
+//! 3. **service** — a real `uns-service` server over an in-process Unix
+//!    socket pair, batched `FeedBatch` requests with `Busy` retry.
 //!
 //! Outputs must be bit-equal across the paths, so the statistical verdict
 //! is computed once and applies to all three.
@@ -169,7 +169,7 @@ fn pipeline_outputs(width: usize, ids: &[NodeId], seed: u64) -> Vec<NodeId> {
     out
 }
 
-/// Connects the service path under test. In-process pipe by default;
+/// Connects the service path under test. In-process socket pair by default;
 /// `UNS_CONFORMANCE_TRANSPORT=reactor` serves the identical requests
 /// through a TCP connection owned by the readiness reactor instead (the
 /// release CI job pins bit-equality of the conformance outputs over it).
