@@ -2,8 +2,8 @@
 //! one connection, whatever carries its bytes.
 //!
 //! A [`Conn`] touches no socket, poller or clock. Its driver passes in
-//! what a read returned, how many reply bytes a write took, worker
-//! replies, and the current [`Instant`]; `Conn` hands back worker
+//! what a read returned, how many reply bytes a write took, the encoded
+//! worker replies, and the current [`Instant`]; `Conn` hands back worker
 //! [`Dispatch`]es, reply bytes ([`Conn::output`]), and whether the
 //! connection is done ([`Conn::finished`]). Two drivers run it: the epoll
 //! reactor for TCP ([`crate::reactor`]) and [`pump`], a blocking loop over
@@ -16,7 +16,11 @@
 //!   poisons the stream: it is answered once, then the connection closes.
 //! * **Order** — at most one worker-bound request is in flight, and
 //!   parsing pauses until its reply is in, so replies leave in request
-//!   order and a pipelining flood is self-clocking.
+//!   order and a pipelining flood is self-clocking. Nothing is appended
+//!   to the output while a request is in flight, so when none was pending
+//!   at dispatch ([`Conn::direct_reply`]) the thread that computes the
+//!   reply may write it to the transport itself; only the bytes the
+//!   transport did not take come back through [`Conn::complete`].
 //! * **Read pause** — at most [`READ_PAUSE_BYTES`] of unparsed input are
 //!   buffered, except that a partly read frame is always read to its end
 //!   (no amount of waiting makes a half frame parseable).
@@ -32,9 +36,10 @@
 
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::reactor::{RateLimit, ReactorConfig};
-use crate::server::{fold_stats, Dispatch, Routed, Router, StreamEntry};
+use crate::server::{BufferPool, Dispatch, Routed, Router};
 use crate::transport::Transport;
 use crate::wire::MAX_FRAME_LEN;
+use std::cell::RefCell;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,6 +58,10 @@ const READ_CHUNK: usize = 2048;
 /// Buffer capacity above which an idle buffer is shrunk back, so one large
 /// frame does not pin its high-water mark forever.
 const TRIM_CAP: usize = 16 * 1024;
+
+/// Capacity above which a thread's reply encode buffer is dropped after
+/// use instead of kept: the Feed reply of the largest pooled batch fits.
+const FRAME_KEEP: usize = 256 * 1024;
 
 /// Per-connection token bucket ([`RateLimit`]).
 pub(crate) struct Limiter {
@@ -95,9 +104,8 @@ pub(crate) struct Conn {
     /// Encoded reply frames; unsent bytes are `write_buf[write_pos..]`.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// The worker-bound request awaiting [`Conn::complete`]: `Some(entry)`
-    /// when its reply is a Stats reply that folds the entry's counters.
-    inflight: Option<Option<StreamEntry>>,
+    /// A worker-bound request awaits [`Conn::complete`].
+    inflight: bool,
     max_buffered_bytes: usize,
     limiter: Option<Limiter>,
     /// The stream is poisoned: flush what is owed, then close.
@@ -118,7 +126,7 @@ impl Conn {
             read_end: 0,
             write_buf: Vec::new(),
             write_pos: 0,
-            inflight: None,
+            inflight: false,
             max_buffered_bytes,
             limiter,
             closing: false,
@@ -185,7 +193,7 @@ impl Conn {
     #[must_use]
     pub(crate) fn advance(&mut self, router: &Router, now: Instant) -> Option<Dispatch> {
         loop {
-            if self.inflight.is_some() || self.closing || self.broken {
+            if self.inflight || self.closing || self.broken {
                 return None;
             }
             if self.pending() >= self.max_buffered_bytes {
@@ -233,27 +241,35 @@ impl Conn {
             match routed {
                 Routed::Immediate(response) => self.respond(response, router),
                 Routed::Dispatch(dispatch) => {
-                    self.inflight = Some(dispatch.stats_entry());
+                    self.inflight = true;
                     return Some(dispatch);
                 }
             }
         }
     }
 
-    /// Takes the in-flight request's reply (a worker's, or the driver's
-    /// bounce) and resumes parsing.
+    /// Whether the reply to the request just dispatched may be written to
+    /// the transport by the thread that computes it: only when no earlier
+    /// reply bytes are pending, so the direct write cannot overtake them.
+    /// Nothing appends output while the request is in flight, so the
+    /// answer holds until [`Conn::complete`].
+    pub(crate) fn direct_reply(&self) -> bool {
+        self.pending() == 0
+    }
+
+    /// Takes the in-flight request's encoded reply frame (a worker's, or
+    /// the driver's bounce) — or, after a direct write, whatever part of
+    /// it the transport did not take, possibly nothing — and resumes
+    /// parsing.
     #[must_use]
     pub(crate) fn complete(
         &mut self,
-        response: Response,
+        reply: &[u8],
         router: &Router,
         now: Instant,
     ) -> Option<Dispatch> {
-        let response = match self.inflight.take() {
-            Some(Some(entry)) => fold_stats(response, &entry),
-            _ => response,
-        };
-        self.respond(response, router);
+        self.inflight = false;
+        self.write_buf.extend_from_slice(reply);
         self.advance(router, now)
     }
 
@@ -282,7 +298,7 @@ impl Conn {
         if self.broken {
             return true;
         }
-        (self.eof || self.closing) && self.inflight.is_none() && self.pending() == 0
+        (self.eof || self.closing) && !self.inflight && self.pending() == 0
     }
 
     /// Buffer capacity this connection pins (reassembly plus replies).
@@ -292,7 +308,9 @@ impl Conn {
 
     /// Returns the buffers to a small footprint once they are mostly
     /// empty, so one large frame does not pin its high-water capacity
-    /// across ten thousand connections.
+    /// across ten thousand connections. The reactor calls it on
+    /// connections that went quiet, not after every request, so a
+    /// connection that keeps sending large frames keeps its buffers.
     pub(crate) fn trim(&mut self) {
         if self.read_buf.capacity() > TRIM_CAP && self.read_end - self.read_pos < TRIM_CAP {
             self.read_buf.truncate(self.read_end);
@@ -341,10 +359,41 @@ impl Conn {
 
     /// Appends one reply frame, recycling a Fed reply's pooled outputs.
     fn respond(&mut self, response: Response, router: &Router) {
-        push_frame(&response, &mut self.write_buf);
-        if let Response::Fed { outputs, .. } = response {
-            router.pool.put(outputs);
+        encode_reply(response, &router.pool, &mut self.write_buf);
+    }
+}
+
+thread_local! {
+    /// This thread's reply encode buffer, reused so that a reply written
+    /// whole costs no allocation.
+    static FRAME: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Encodes `response` as one frame into this thread's reusable buffer,
+/// recycles a Fed reply's pooled outputs into `pool`, and hands the frame
+/// to `then`, which must not encode another reply.
+pub(crate) fn with_reply_frame<R>(
+    response: Response,
+    pool: &BufferPool,
+    then: impl FnOnce(&[u8]) -> R,
+) -> R {
+    FRAME.with_borrow_mut(|frame| {
+        frame.clear();
+        encode_reply(response, pool, frame);
+        let result = then(frame);
+        if frame.capacity() > FRAME_KEEP {
+            *frame = Vec::new();
         }
+        result
+    })
+}
+
+/// Appends `response` to `out` as one frame ([`push_frame`]) and recycles
+/// a Fed reply's pooled outputs into `pool`.
+fn encode_reply(response: Response, pool: &BufferPool, out: &mut Vec<u8>) {
+    push_frame(&response, out);
+    if let Response::Fed { outputs, .. } = response {
+        pool.put(outputs);
     }
 }
 
@@ -382,9 +431,9 @@ pub(crate) fn push_frame(response: &Response, out: &mut Vec<u8>) {
 
 /// Serves one connection over a blocking [`Transport`] until the peer
 /// hangs up, breaks the protocol, or the transport fails. Each dispatch
-/// waits on its own reply channel ([`Router::call`]); replies are written
-/// and flushed as batches, so a fault-injecting transport sees whole
-/// frames.
+/// waits on its own reply channel ([`Router::call`]) and the pump encodes
+/// the reply itself; replies are written and flushed as batches, so a
+/// fault-injecting transport sees whole frames.
 pub(crate) fn pump<T: Transport>(mut transport: T, router: &Router) {
     // No rate limit, but the reactor's write ceiling: one read can hold
     // thousands of small requests, and parsing stops once their replies
@@ -393,7 +442,9 @@ pub(crate) fn pump<T: Transport>(mut transport: T, router: &Router) {
     let mut next = None;
     loop {
         while let Some(dispatch) = next.take() {
-            next = conn.complete(router.call(dispatch), router, Instant::now());
+            next = with_reply_frame(router.call(dispatch), &router.pool, |frame| {
+                conn.complete(frame, router, Instant::now())
+            });
         }
         if conn.finished() {
             return;
@@ -545,7 +596,11 @@ mod tests {
     /// Drives one `Conn` through a random interleaving of reads (random
     /// chunk sizes), EOF, partial output consumption and worker
     /// completions against a live server, and checks the bytes it emits
-    /// against [`model`].
+    /// against [`model`]. A completion whose request was dispatched with
+    /// no output pending ([`Conn::direct_reply`]) first has a random
+    /// prefix of its frame — none, some or all — written "directly" to
+    /// the peer, as the reactor's replying threads do, and only the rest
+    /// goes to [`Conn::complete`].
     fn run_case(seed: u64) -> Result<(), String> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let frames: Vec<Frame> =
@@ -573,6 +628,8 @@ mod tests {
         let limiter = limit.map(|l| Limiter::new(l, Arc::new(Counter::new()), now));
         let mut conn = Conn::new(ceiling, limiter);
         let (mut fed, mut eof_sent, mut got, mut next) = (0usize, false, Vec::new(), None);
+        // Whether the in-flight request's reply may be written directly.
+        let mut direct = false;
         for _ in 0..1_000_000 {
             if conn.finished() {
                 break;
@@ -607,12 +664,22 @@ mod tests {
                 }
                 _ => {
                     let dispatch = next.take().expect("offered only when present");
-                    conn.complete(router.call(dispatch), router, now)
+                    with_reply_frame(router.call(dispatch), &router.pool, |frame| {
+                        let sent = match (direct, rng.gen_range(0..3u32)) {
+                            (false, _) => 0,
+                            (true, 0) => 0,
+                            (true, 1) => frame.len(),
+                            (true, _) => rng.gen_range(0..=frame.len()),
+                        };
+                        got.extend_from_slice(&frame[..sent]);
+                        conn.complete(&frame[sent..], router, now)
+                    })
                 }
             };
             if produced.is_some() {
                 prop_assert!(next.is_none(), "two requests in flight on one connection");
                 next = produced;
+                direct = conn.direct_reply();
             }
         }
         prop_assert!(
@@ -633,7 +700,8 @@ mod tests {
 
         /// The connection core answers exactly what a sequential server
         /// owes, in request order, under any read chunking, pipelining,
-        /// EOF placement, write ceiling and output consumption schedule.
+        /// EOF placement, write ceiling, output consumption schedule and
+        /// direct reply writes.
         #[test]
         fn conn_replies_match_the_sequential_model(seed in any::<u64>()) {
             run_case(seed)?;

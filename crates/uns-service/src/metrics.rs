@@ -57,6 +57,10 @@ pub const METRIC_REACTOR_ACCEPTED: &str = "uns_reactor_accepted_total";
 pub const METRIC_REACTOR_REJECTED: &str = "uns_reactor_rejected_total";
 /// Exposition family name for requests bounced with `RateLimited`.
 pub const METRIC_REACTOR_RATE_LIMITED: &str = "uns_reactor_rate_limited_total";
+/// Exposition family name for worker-bound replies by how they left:
+/// `path="direct"` when the replying thread wrote the whole frame to the
+/// socket, `path="deferred"` when it left bytes for the reactor to flush.
+pub const METRIC_REACTOR_REPLIES: &str = "uns_reactor_replies_total";
 
 /// Batches per floor-trajectory window: the window-min gauge and its
 /// [`TraceKind::FloorSample`] event update once per this many mutating
@@ -96,6 +100,8 @@ const HELP_REACTOR_ACCEPTED: &str = "Connections the reactor has accepted, lifet
 const HELP_REACTOR_REJECTED: &str = "Connections the reactor refused at the connection cap.";
 const HELP_REACTOR_RATE_LIMITED: &str =
     "Requests rejected with RateLimited by a connection's admission limiter.";
+const HELP_REACTOR_REPLIES: &str = "Worker-bound replies written whole by the replying thread \
+     (direct) or left, in part or whole, for the reactor to flush (deferred).";
 
 /// Per-server metrics state: the registry, the trace ring, and the handles
 /// global instrumentation sites hold (queue depths, op latency, WAL
@@ -259,6 +265,16 @@ impl ServiceMetrics {
                 HELP_REACTOR_RATE_LIMITED,
                 &[],
             ),
+            replies_direct: self.registry.counter(
+                METRIC_REACTOR_REPLIES,
+                HELP_REACTOR_REPLIES,
+                &[("path", "direct")],
+            ),
+            replies_deferred: self.registry.counter(
+                METRIC_REACTOR_REPLIES,
+                HELP_REACTOR_REPLIES,
+                &[("path", "deferred")],
+            ),
         }
     }
 }
@@ -279,6 +295,10 @@ pub(crate) struct ReactorMetrics {
     pub(crate) rejected: Arc<Counter>,
     /// Requests bounced by a connection's admission limiter.
     pub(crate) rate_limited: Arc<Counter>,
+    /// Worker-bound replies the replying thread wrote whole.
+    pub(crate) replies_direct: Arc<Counter>,
+    /// Worker-bound replies that left bytes for the reactor to flush.
+    pub(crate) replies_deferred: Arc<Counter>,
 }
 
 /// The per-stream replication series handles. The registry hands out the

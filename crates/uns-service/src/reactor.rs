@@ -9,12 +9,22 @@
 //! vendored [`epoll`] poller. It drives each socket's bytes through the
 //! sans-IO connection core (`conn.rs`) — the same state machine
 //! in-process socket pairs run — and hands complete requests to the worker
-//! pool through the bounded queues, collecting replies from a completion
-//! queue.
+//! pool through the bounded queues.
 //! Nothing it runs waits on a worker or a disk: creation and restore are
 //! worker jobs like any other, replica shipments are jobs on the replica
 //! applier, and only the CPU-only `Metrics` render is answered on the
 //! reactor thread.
+//!
+//! Replies leave from the thread that computed them (run to completion,
+//! as in IX, Belay et al., OSDI 2014). When a connection has no reply
+//! bytes pending at dispatch, the worker, release thread or replica
+//! applier gets a share of its socket (`CompletionSender`), encodes the
+//! reply frame and writes it to the nonblocking socket itself. The reactor
+//! hears back through its completion queue only to resume parsing and to
+//! take over any bytes the socket did not accept — usually none. The
+//! socket is shared by `Arc`, never duplicated, so its descriptor closes
+//! when the last holder drops it and no stray duplicate keeps an epoll
+//! registration alive.
 //!
 //! What the reactor adds on top of the connection core:
 //!
@@ -25,19 +35,21 @@
 //!   enforced by the core, with reads deregistered while a connection is
 //!   paused;
 //! * **accounting** — per-connection buffer memory in the
-//!   `uns_reactor_buffered_bytes` gauge, alongside connection counts and
-//!   rejection counters (see [`crate::metrics`]).
+//!   `uns_reactor_buffered_bytes` gauge, alongside connection counts,
+//!   rejection counters and how replies left (`uns_reactor_replies_total`,
+//!   see [`crate::metrics`]).
 
-use crate::conn::{Conn, Limiter};
+use crate::conn::{with_reply_frame, Conn, Limiter};
 use crate::metrics::ReactorMetrics;
 use crate::protocol::Response;
-use crate::server::{Dispatch, ReplyTo, Router, Server};
+use crate::server::{BufferPool, Dispatch, ReplyTo, Router, Server};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use uns_metrics::Counter;
 
 /// Per-connection admission rate limit: a token bucket refilled at
 /// [`RateLimit::per_sec`] with capacity [`RateLimit::burst`]. Each parsed
@@ -72,26 +84,62 @@ impl Default for ReactorConfig {
     }
 }
 
-/// Completion handle a worker holds for a reactor-routed job: push the
-/// reply into the queue, wake the reactor. Never blocks.
+/// Completion handle the replying thread holds for a reactor-routed job.
+/// Never blocks.
 pub(crate) struct CompletionSender {
     conn: u64,
+    /// The connection's socket, when it had no reply bytes pending at
+    /// dispatch ([`Conn::direct_reply`]): the reply may go out directly.
+    socket: Option<Arc<TcpStream>>,
     completions: Arc<Completions>,
 }
 
 impl CompletionSender {
+    /// Encodes the reply frame, writes what the socket takes without
+    /// blocking (when this sender holds it), then queues the unsent tail —
+    /// usually empty — for the reactor and wakes it. A failed write leaves
+    /// the tail too: the reactor's flush meets the same error and closes
+    /// the connection.
     pub(crate) fn send(self, response: Response) {
-        let queue = &self.completions.queue;
-        queue.lock().expect("completion queue poisoned").push((self.conn, response));
-        self.completions.waker.wake();
+        let Self { conn, socket, completions } = self;
+        let tail = with_reply_frame(response, &completions.pool, |frame| {
+            let written = socket.as_deref().map_or(0, |socket| write_nonblocking(socket, frame));
+            frame[written..].to_vec()
+        });
+        // Let go of the socket before the reactor may close the connection.
+        drop(socket);
+        let path = if tail.is_empty() { &completions.direct } else { &completions.deferred };
+        path.inc();
+        completions.queue.lock().expect("completion queue poisoned").push((conn, tail));
+        completions.waker.wake();
     }
 }
 
-/// Worker replies waiting for the reactor thread, plus the waker that
-/// interrupts its poller wait.
+/// Writes `frame` to the nonblocking `socket` until it is out, the socket
+/// would block, or the write fails. Returns the bytes written.
+fn write_nonblocking(mut socket: &TcpStream, frame: &[u8]) -> usize {
+    let mut written = 0;
+    while written < frame.len() {
+        match socket.write(&frame[written..]) {
+            Ok(0) => break,
+            Ok(n) => written += n,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    written
+}
+
+/// What replying threads share with the reactor: the queue of reply bytes
+/// they left for it (per connection, what its socket did not take), the
+/// waker that interrupts its poller wait, the buffer pool Fed outputs
+/// recycle into, and the direct/deferred reply counters.
 struct Completions {
-    queue: Mutex<Vec<(u64, Response)>>,
+    queue: Mutex<Vec<(u64, Vec<u8>)>>,
     waker: Arc<epoll::Waker>,
+    pool: Arc<BufferPool>,
+    direct: Arc<Counter>,
+    deferred: Arc<Counter>,
 }
 
 /// What a settle pass needs besides the connection: routing, replies, and
@@ -104,13 +152,21 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// Submits `next` — and whatever a bounce lets the connection parse
-    /// next — to the workers; a bounced dispatch is answered on the spot.
-    fn submit(&self, conn: &mut Conn, token: u64, mut next: Option<Dispatch>) {
+    /// next — to the workers, sharing the socket with the replying thread
+    /// when no reply bytes are pending; a bounced dispatch is answered on
+    /// the spot.
+    fn submit(&self, slot: &mut Slot, token: u64, mut next: Option<Dispatch>) {
         while let Some(dispatch) = next {
-            let reply = CompletionSender { conn: token, completions: Arc::clone(self.completions) };
+            let reply = CompletionSender {
+                conn: token,
+                socket: slot.conn.direct_reply().then(|| Arc::clone(&slot.stream)),
+                completions: Arc::clone(self.completions),
+            };
             next = match self.router.submit(dispatch, ReplyTo::Reactor(reply)) {
                 None => None,
-                Some(bounce) => conn.complete(bounce, self.router, self.now),
+                Some(bounce) => with_reply_frame(bounce, &self.router.pool, |frame| {
+                    slot.conn.complete(frame, self.router, self.now)
+                }),
             };
         }
     }
@@ -133,14 +189,25 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 /// signal for stop() and completions.
 const WAIT_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// How often the reactor returns the buffers of quiet connections to a
+/// small footprint ([`Conn::trim`]). A connection served since the
+/// previous sweep keeps its buffers, so one that keeps sending large
+/// frames does not reallocate them per request; one gone quiet is
+/// trimmed within two periods.
+const TRIM_PERIOD: Duration = Duration::from_secs(1);
+
 /// One connection owned by the reactor: its socket and its core.
 struct Slot {
-    stream: TcpStream,
+    /// Shared with the thread computing the in-flight reply, if that
+    /// thread may write it directly.
+    stream: Arc<TcpStream>,
     conn: Conn,
     /// Interest currently registered with the poller.
     interest: epoll::Interest,
     /// Bytes currently accounted into the buffered-bytes gauge.
     accounted: i64,
+    /// Settled since the last trim sweep: its buffers stay.
+    served: bool,
 }
 
 /// Runs the reactor loop on the calling thread until [`Server::stop`].
@@ -153,18 +220,24 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
     // guard unregisters on every exit path.
     server.accept_wakers.lock().expect("accept waker lock poisoned").push(Arc::clone(&waker));
     let _guard = WakerGuard { server, waker: Arc::clone(&waker) };
-    let completions = Arc::new(Completions { queue: Mutex::new(Vec::new()), waker });
-
     let router = &*server.router;
     let rmetrics = server.metrics().reactor();
+    let completions = Arc::new(Completions {
+        queue: Mutex::new(Vec::new()),
+        waker,
+        pool: Arc::clone(&router.pool),
+        direct: Arc::clone(&rmetrics.replies_direct),
+        deferred: Arc::clone(&rmetrics.replies_deferred),
+    });
     let mut slots: HashMap<u64, Slot> = HashMap::new();
     let mut next_token = FIRST_CONN;
     let mut events: Vec<epoll::Event> = Vec::new();
-    let mut done: Vec<(u64, Response)> = Vec::new();
+    let mut done: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
     // When set, the listener is deregistered until this instant (accept
     // backoff after fd exhaustion).
     let mut accept_resume: Option<Instant> = None;
+    let mut next_trim = Instant::now() + TRIM_PERIOD;
 
     while !server.shutdown.load(Ordering::Relaxed) {
         // The wakers are the real signal for stop() and completions; the
@@ -191,17 +264,12 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
         // frames that are already buffered (no readable event will
         // re-announce bytes we hold in userspace).
         done.append(&mut completions.queue.lock().expect("completion queue poisoned"));
-        for (token, response) in done.drain(..) {
-            let Some(slot) = slots.get_mut(&token) else {
-                // The connection died while its job was in flight; the
-                // reply is dropped but pooled buffers must still recycle.
-                if let Response::Fed { outputs, .. } = response {
-                    router.pool.put(outputs);
-                }
-                continue;
-            };
-            let next = slot.conn.complete(response, router, ctx.now);
-            ctx.submit(&mut slot.conn, token, next);
+        for (token, tail) in done.drain(..) {
+            // The connection died while its job was in flight: the unsent
+            // tail goes nowhere.
+            let Some(slot) = slots.get_mut(&token) else { continue };
+            let next = slot.conn.complete(&tail, router, ctx.now);
+            ctx.submit(slot, token, next);
             touched.push(token);
         }
 
@@ -231,13 +299,13 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
                     let Some(slot) = slots.get_mut(&token) else { continue };
                     if event.readable {
                         while let Some(space) = slot.conn.read_space() {
-                            let read = slot.stream.read(space);
+                            let read = (&*slot.stream).read(space);
                             if !slot.conn.received(read) {
                                 break;
                             }
                         }
                         let next = slot.conn.advance(router, ctx.now);
-                        ctx.submit(&mut slot.conn, token, next);
+                        ctx.submit(slot, token, next);
                     }
                     touched.push(token);
                 }
@@ -251,16 +319,24 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
         for token in touched.drain(..) {
             let Some(slot) = slots.get_mut(&token) else { continue };
             flush(slot, token, &ctx);
-            slot.conn.trim();
-            let now = i64::try_from(slot.conn.capacity()).unwrap_or(i64::MAX);
-            rmetrics.buffered_bytes.add(now - slot.accounted);
-            slot.accounted = now;
+            slot.served = true;
+            account(slot, &rmetrics);
             if slot.conn.finished() {
                 let slot = slots.remove(&token).expect("present above");
                 close(&poller, slot, &rmetrics);
             } else {
                 rearm(&poller, slot, token);
             }
+        }
+
+        if ctx.now >= next_trim {
+            for slot in slots.values_mut() {
+                if !std::mem::take(&mut slot.served) {
+                    slot.conn.trim();
+                    account(slot, &rmetrics);
+                }
+            }
+            next_trim = ctx.now + TRIM_PERIOD;
         }
     }
 
@@ -340,7 +416,9 @@ fn accept_ready(
             .rate_limit
             .map(|limit| Limiter::new(limit, Arc::clone(&rmetrics.rate_limited), now));
         let conn = Conn::new(config.max_buffered_bytes, limiter);
-        slots.insert(token, Slot { stream, conn, interest: epoll::Interest::READ, accounted: 0 });
+        let stream = Arc::new(stream);
+        let interest = epoll::Interest::READ;
+        slots.insert(token, Slot { stream, conn, interest, accounted: 0, served: false });
     }
 }
 
@@ -363,11 +441,11 @@ fn flush(slot: &mut Slot, token: u64, ctx: &Ctx<'_>) {
         if output.is_empty() {
             return;
         }
-        match slot.stream.write(output) {
+        match (&*slot.stream).write(output) {
             Ok(0) => return slot.conn.fail(),
             Ok(n) => {
                 let next = slot.conn.consume(n, ctx.router, ctx.now);
-                ctx.submit(&mut slot.conn, token, next);
+                ctx.submit(slot, token, next);
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
             Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
@@ -385,7 +463,7 @@ fn rearm(poller: &epoll::Poller, slot: &mut Slot, token: u64) {
     let want =
         epoll::Interest { read: slot.conn.wants_read(), write: !slot.conn.output().is_empty() };
     if want.read != slot.interest.read || want.write != slot.interest.write {
-        if poller.modify(&slot.stream, token, want).is_ok() {
+        if poller.modify(&*slot.stream, token, want).is_ok() {
             slot.interest = want;
         } else {
             slot.conn.fail(); // unpollable socket: give it up next settle
@@ -393,9 +471,17 @@ fn rearm(poller: &epoll::Poller, slot: &mut Slot, token: u64) {
     }
 }
 
+/// Brings the buffered-bytes gauge up to date with the connection's
+/// buffer capacity.
+fn account(slot: &mut Slot, rmetrics: &ReactorMetrics) {
+    let now = i64::try_from(slot.conn.capacity()).unwrap_or(i64::MAX);
+    rmetrics.buffered_bytes.add(now - slot.accounted);
+    slot.accounted = now;
+}
+
 /// Deregisters and drops one connection, releasing its accounted memory.
 fn close(poller: &epoll::Poller, slot: Slot, rmetrics: &ReactorMetrics) {
-    let _ = poller.deregister(&slot.stream);
+    let _ = poller.deregister(&*slot.stream);
     rmetrics.buffered_bytes.add(-slot.accounted);
     rmetrics.connections.dec();
 }
@@ -425,6 +511,16 @@ mod tests {
         (0..n).map(NodeId::new).collect()
     }
 
+    /// Stops the server when dropped, so a panicking test body fails
+    /// instead of leaving the reactor thread to be joined forever.
+    struct StopOnDrop<'a>(&'a Server);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.stop();
+        }
+    }
+
     /// Spawns a reactor, runs `body` against its address, stops cleanly.
     fn with_reactor(config: ReactorConfig, body: impl FnOnce(std::net::SocketAddr, &Server)) {
         let server = Server::start(ServerConfig { workers: 2, queue_depth: 16 });
@@ -432,8 +528,9 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| server.serve_reactor(listener, config));
+            let stop = StopOnDrop(&server);
             body(addr, &server);
-            server.stop();
+            drop(stop);
             handle.join().expect("reactor thread").expect("reactor exit");
         });
     }
@@ -595,6 +692,118 @@ mod tests {
             let batch = ids(20_000); // 160 KB frame, ~2.5x READ_PAUSE_BYTES
             let ack = client.feed_batch("big", &batch).expect("oversized frame feeds");
             assert_eq!(ack.outputs.len(), 20_000);
+        });
+    }
+
+    #[test]
+    fn pipelined_large_replies_to_a_late_reader_arrive_whole_and_in_order() {
+        // 20k-id FeedBatch replies (~160 KB each), pipelined to a peer that
+        // starts reading only once a direct write met a full socket and
+        // left its tail to the reactor; the reply stream must still be
+        // exactly the sequential one. 48 replies are ~7.7 MB, beyond what
+        // loopback buffers for a peer that is not reading (~4 MB at
+        // Linux's default limits) plus the 1 MiB write ceiling.
+        const BATCHES: u64 = 48;
+        const BATCH: u64 = 20_000;
+        let batch = |b: u64| -> Vec<NodeId> {
+            (b * BATCH..(b + 1) * BATCH).map(|i| NodeId::new(i % 5_000)).collect()
+        };
+        let blocking = Server::start(ServerConfig { workers: 2, queue_depth: 16 });
+        let mut reference = ServiceClient::new(blocking.connect_in_process()).expect("client");
+        reference.create_stream("p", &stream_config()).expect("create");
+        for b in 0..BATCHES {
+            reference.feed_batch("p", &batch(b)).expect("feed");
+        }
+        let want = reference.snapshot("p").expect("snapshot");
+
+        with_reactor(ReactorConfig::default(), |addr, server| {
+            let mut setup =
+                ServiceClient::new(TcpStream::connect(addr).expect("connect")).expect("client");
+            setup.create_stream("p", &stream_config()).expect("create");
+            let mut reader = TcpStream::connect(addr).expect("connect");
+            reader.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+            let mut writer = reader.try_clone().expect("clone");
+            writer.set_write_timeout(Some(Duration::from_secs(30))).expect("timeout");
+            std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    let mut body = Vec::new();
+                    for b in 0..BATCHES {
+                        body.clear();
+                        Request::encode_batch(&mut body, true, "p", &batch(b));
+                        crate::wire::write_frame(&mut writer, &body).expect("pipelined batch");
+                    }
+                });
+                let deferred = server.metrics().reactor().replies_deferred;
+                let deadline = Instant::now() + Duration::from_secs(60);
+                while deferred.get() == 0 {
+                    assert!(Instant::now() < deadline, "no reply ever met a full socket");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                let mut frame = Vec::new();
+                for b in 0..BATCHES {
+                    let got = crate::wire::read_frame(&mut reader, &mut frame)
+                        .unwrap_or_else(|err| panic!("reply {b} never arrived whole: {err}"));
+                    assert!(got, "connection closed before reply {b}");
+                    match Response::decode(&frame).expect("reply decodes") {
+                        Response::Fed { position, outputs, .. } => {
+                            assert_eq!(position, (b + 1) * BATCH, "reply {b} out of order");
+                            assert_eq!(outputs.len() as u64, BATCH);
+                        }
+                        other => panic!("reply {b}: expected Fed, got {other:?}"),
+                    }
+                }
+            });
+            let got = setup.snapshot("p").expect("snapshot");
+            assert_eq!(got, want, "direct reply writes altered the stream state");
+        });
+    }
+
+    #[test]
+    fn closed_loop_replies_leave_from_the_replying_thread() {
+        with_reactor(ReactorConfig::default(), |addr, server| {
+            let mut client =
+                ServiceClient::new(TcpStream::connect(addr).expect("connect")).expect("client");
+            client.create_stream("d", &stream_config()).expect("create");
+            // The reactor answers a Metrics request only after the previous
+            // reply's completion resumed parsing, so once it is in, the
+            // reply counters have settled.
+            client.metrics().expect("metrics");
+            let reactor = server.metrics().reactor();
+            let (direct, deferred) = (reactor.replies_direct.get(), reactor.replies_deferred.get());
+            for i in 1..=20 {
+                client.feed_batch("d", &ids(64)).expect("feed");
+                client.metrics().expect("metrics");
+                assert_eq!(reactor.replies_direct.get(), direct + i, "reply {i} was not direct");
+            }
+            assert_eq!(reactor.replies_deferred.get(), deferred);
+        });
+    }
+
+    #[test]
+    fn a_peer_hanging_up_on_a_large_reply_leaves_the_others_served() {
+        with_reactor(ReactorConfig::default(), |addr, server| {
+            let mut other =
+                ServiceClient::new(TcpStream::connect(addr).expect("connect")).expect("client");
+            other.create_stream("h", &stream_config()).expect("create");
+            let mut body = Vec::new();
+            Request::encode_batch(&mut body, true, "h", &ids(20_000));
+            let mut rude = TcpStream::connect(addr).expect("connect");
+            crate::wire::write_frame(&mut rude, &body).expect("batch");
+            drop(rude); // hangs up without reading its reply
+            for _ in 0..5 {
+                other.feed_batch("h", &ids(100)).expect("the other connection still serves");
+            }
+            drop(other);
+            let connections = server.metrics().reactor().connections;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while connections.get() != 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "{} connections never closed",
+                    connections.get()
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
         });
     }
 

@@ -7,16 +7,23 @@
 //! ┌──────────────────────────────────┐ try_send ┌──────────────────────┐
 //! │ Conn: bytes → frames → requests  │ ───────► │ worker 0: streams    │
 //! │ route by stream name             │ bounded  │   {a, d, …} samplers │
-//! │ reply bytes ← completion         │ ◄─────── │ worker 1: streams    │
-//! └──────────────────────────────────┘  reply   │   {b, c, …} samplers │
-//!  reactor (TCP) · pump (any Transport)         └──────────────────────┘
+//! │ resume parsing, own unsent tail  │ ◄─────── │ worker 1: streams    │
+//! └──────────────────────────────────┘ complete │   {b, c, …} samplers │
+//!  reactor (TCP) · pump (any Transport)         └──────────┬───────────┘
+//!        ▲ socket                 reply frame, written     │
+//!        └──────────────── by the thread that computed it ─┘
 //! ```
 //!
 //! Every connection runs the one sans-IO connection core (`conn.rs`),
 //! driven by the epoll [`crate::reactor`] for TCP or by a blocking pump
 //! thread for in-process socket pairs. Both hand worker-bound requests to
 //! the same router, so framing, reply order and admission are one
-//! mechanism whatever the transport.
+//! mechanism whatever the transport. On a reactor connection the thread
+//! that computed a reply — a worker, its release thread or the replica
+//! applier — encodes the frame and writes it to the nonblocking socket
+//! itself whenever no earlier reply bytes are pending; the reactor hears
+//! back only to resume parsing and to flush what the socket did not take.
+//! A pump thread waits for its reply and writes it.
 //!
 //! Every named stream is owned by exactly **one** worker (assigned
 //! round-robin at creation), so all operations on a stream are serialized
@@ -62,10 +69,10 @@
 //! allocated per request. A connection takes a buffer for the request's
 //! ids and the owning worker returns it after feeding; the worker takes a
 //! buffer for the Feed reply's outputs (previously an `outputs.clone()`
-//! per batch — the allocation the pool exists to kill) and the connection
-//! returns it once the reply is encoded. A counting-allocator regression
-//! test pins that a long feed session does not allocate proportionally to
-//! the batch size.
+//! per batch — the allocation the pool exists to kill) and the thread
+//! that encodes the reply returns it once the frame is built. A
+//! counting-allocator regression test pins that a long feed session does
+//! not allocate proportionally to the batch size.
 
 use crate::error::ServiceError;
 use crate::fault::{FaultBackend, FaultPlan, FaultTransport};
@@ -202,13 +209,16 @@ pub(crate) struct Shipment {
     records: Vec<u8>,
 }
 
-/// Where a worker's reply goes: a one-shot channel a blocked caller waits
-/// on (the pump, [`Server::adopt_stream`]), or the reactor's completion
-/// queue. Workers never block on a reply either way.
+/// Where a reply goes from the thread that computed it (a worker, its
+/// release thread, or the replica applier): a one-shot channel a blocked
+/// caller waits on (the pump, which encodes and writes the reply itself,
+/// or [`Server::adopt_stream`]), or a reactor connection. Workers never
+/// block on a reply either way.
 pub(crate) enum ReplyTo {
     /// One-shot channel whose receiver a blocked caller waits on.
     Channel(SyncSender<Response>),
-    /// Reactor completion: push `(connection, response)` and wake.
+    /// Reactor connection: encode the frame, write what the nonblocking
+    /// socket takes right here, hand the rest to the reactor and wake it.
     Reactor(crate::reactor::CompletionSender),
 }
 
@@ -229,6 +239,9 @@ pub(crate) struct Job {
     /// Phase 2 of a fresh name's reservation, settled by the worker
     /// before `reply` is sent.
     reservation: Option<Reservation>,
+    /// A Stats job's routing entry, whose connection-side counters the
+    /// reply folds in as it leaves ([`Held::send`]).
+    stats: Option<StreamEntry>,
 }
 
 /// Routing entry of one named stream.
@@ -1310,7 +1323,7 @@ fn worker_main(
         // (floor/snapshot/stats) cannot corrupt state, so their stream
         // survives a panic intact.
         metrics.queue_depth[index].dec();
-        let Job { stream, op, reply, reservation } = job;
+        let Job { stream, op, reply, reservation, stats } = job;
         let mutates = op_mutates(&op);
         let op_index = op_metric_index(&op);
         let started = Instant::now();
@@ -1355,7 +1368,7 @@ fn worker_main(
         if let Some(reservation) = reservation {
             reservation.settle(&response);
         }
-        release.reply(stream, reply, response, acks);
+        release.reply(stream, Held { reply, response, acks, stats });
     }
     // Drain the durability buffers on the way out: an orderly shutdown
     // should not cost the EveryN/Timer loss window.
@@ -1366,12 +1379,26 @@ fn worker_main(
     }
 }
 
-/// A reply the worker's release thread sends once the replica acks of
-/// its op are in.
+/// A worker's reply, held by the release thread until the replica acks
+/// of its op are in, or sent by the worker when there are none.
 struct Held {
     reply: ReplyTo,
     response: Response,
     acks: Option<Box<dyn PendingAcks>>,
+    /// The Stats job's routing entry ([`Job::stats`]).
+    stats: Option<StreamEntry>,
+}
+
+impl Held {
+    /// Sends the reply, folding a Stats reply's connection-side counters
+    /// in as it leaves: after any held write on its stream was acked.
+    fn send(self) {
+        let response = match &self.stats {
+            Some(entry) => fold_stats(self.response, entry),
+            None => self.response,
+        };
+        self.reply.send(response);
+    }
 }
 
 /// A worker's reply path. A reply goes out from the worker itself unless
@@ -1403,13 +1430,7 @@ impl Release {
         Self { worker, thread: None, queued: 0, sent, last_held: HashMap::new() }
     }
 
-    fn reply(
-        &mut self,
-        stream: u64,
-        reply: ReplyTo,
-        response: Response,
-        acks: Option<Box<dyn PendingAcks>>,
-    ) {
+    fn reply(&mut self, stream: u64, held: Held) {
         let sent = self.sent.load(Ordering::Acquire);
         let behind = if sent == self.queued {
             if !self.last_held.is_empty() {
@@ -1419,8 +1440,8 @@ impl Release {
         } else {
             self.last_held.get(&stream).is_some_and(|&ticket| ticket > sent)
         };
-        if acks.is_none() && !behind {
-            reply.send(response);
+        if held.acks.is_none() && !behind {
+            held.send();
             return;
         }
         let (tx, _) = self.thread.get_or_insert_with(|| {
@@ -1429,14 +1450,14 @@ impl Release {
             let thread = std::thread::Builder::new()
                 .name(format!("uns-release-{}", self.worker))
                 .spawn(move || {
-                    for held in rx {
-                        if let Some(acks) = held.acks {
+                    for mut held in rx {
+                        if let Some(acks) = held.acks.take() {
                             // A panicking wait costs only the wait: the
                             // reply still goes out, in order.
                             let wait = std::panic::AssertUnwindSafe(|| acks.wait());
                             let _ = std::panic::catch_unwind(wait);
                         }
-                        held.reply.send(held.response);
+                        held.send();
                         sent.fetch_add(1, Ordering::Release);
                     }
                 })
@@ -1445,7 +1466,7 @@ impl Release {
         });
         self.queued += 1;
         self.last_held.insert(stream, self.queued);
-        tx.send(Held { reply, response, acks }).expect("the release thread outlives its sender");
+        tx.send(held).expect("the release thread outlives its sender");
     }
 }
 
@@ -1930,13 +1951,13 @@ fn execute_unlogged(
         StreamOp::Stats => match streams.get(&stream) {
             Some(state) => Response::Stats(StreamStats {
                 pipeline: state.stats,
-                busy_rejections: 0, // folded in by the connection
+                busy_rejections: 0, // folded in as the reply leaves
                 durability: state
                     .durable
                     .as_ref()
                     .map(DurableStream::current_stats)
                     .unwrap_or_default(),
-                // Folded in by the connection from the stream's
+                // Folded in as the reply leaves, from the stream's
                 // registered atomics, like busy_rejections.
                 replication: ReplicationStats::default(),
             }),
@@ -2016,7 +2037,7 @@ pub(crate) struct Dispatch {
     op: StreamOp,
     /// The target stream's routing entry: it names the owning worker, a
     /// Busy bounce counts against it, and a Stats reply folds its counters
-    /// ([`Dispatch::stats_entry`]). `None` for a shipment, which targets no
+    /// ([`Job::stats`]). `None` for a shipment, which targets no
     /// registered stream and goes to the replica applier.
     entry: Option<StreamEntry>,
     reservation: Option<Reservation>,
@@ -2027,21 +2048,12 @@ impl Dispatch {
     fn to(entry: StreamEntry, op: StreamOp) -> Self {
         Self { op, entry: Some(entry), reservation: None }
     }
-
-    /// The entry whose connection-side counters the reply must fold in
-    /// ([`fold_stats`]): present for Stats requests only.
-    pub(crate) fn stats_entry(&self) -> Option<StreamEntry> {
-        match self.op {
-            StreamOp::Stats => self.entry.clone(),
-            _ => None,
-        }
-    }
 }
 
 /// Folds the stream's connection-side counters (busy rejections, the
 /// replication series) into a worker's Stats reply — the wire Stats and
 /// the exposition read the same registered atomics.
-pub(crate) fn fold_stats(response: Response, entry: &StreamEntry) -> Response {
+fn fold_stats(response: Response, entry: &StreamEntry) -> Response {
     match response {
         Response::Stats(mut stats) => {
             stats.busy_rejections = entry.busy.get();
@@ -2234,11 +2246,13 @@ impl Router {
         let Dispatch { op, entry, reservation } = dispatch;
         let Some(entry) = entry else {
             // A shipment: unbounded by design (see the module docs).
-            let job = Job { stream: 0, op, reply, reservation };
+            let job = Job { stream: 0, op, reply, reservation, stats: None };
             let sent = self.applier.as_ref().is_some_and(|applier| applier.send(job).is_ok());
             return (!sent).then(shutting_down);
         };
-        let (worker, job) = (entry.worker, Job { stream: entry.id, op, reply, reservation });
+        let stats = matches!(op, StreamOp::Stats).then(|| entry.clone());
+        let job = Job { stream: entry.id, op, reply, reservation, stats };
+        let worker = entry.worker;
         let (job, response) = match self.senders[worker].try_send(job) {
             Ok(()) => {
                 // Incremented after the send (the worker decrements on
@@ -2465,6 +2479,7 @@ mod tests {
             op: StreamOp::Panic,
             reply: ReplyTo::Channel(reply_tx),
             reservation: None,
+            stats: None,
         };
         server.router.senders[worker].send(job).unwrap();
         match reply_rx.recv().unwrap() {
@@ -2678,6 +2693,7 @@ mod tests {
             op: StreamOp::Panic,
             reply: ReplyTo::Channel(reply_tx),
             reservation: None,
+            stats: None,
         };
         server.router.senders[worker].send(job).unwrap();
         assert!(matches!(reply_rx.recv().unwrap(), Response::Error { code: ErrorCode::Other, .. }));

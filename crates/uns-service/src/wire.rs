@@ -21,7 +21,7 @@
 //! [`crate::protocol::IdsView`]), not as freshly allocated vectors.
 
 use crate::error::ServiceError;
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Wire protocol version this build speaks. v2 grew the Stats payload
 /// (durability counters) and the Durability error code.
@@ -172,7 +172,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Writes `body` as one length-prefixed frame and flushes.
+/// Writes `body` as one length-prefixed frame and flushes. The prefix
+/// and the body go out in one vectored write where the writer takes it
+/// all, so a `TCP_NODELAY` socket sends a small frame as one segment.
 ///
 /// # Errors
 ///
@@ -186,8 +188,16 @@ pub fn write_frame<W: Write>(writer: &mut W, body: &[u8]) -> Result<(), ServiceE
         )));
     }
     let len = (body.len() as u32).to_le_bytes();
-    writer.write_all(&len)?;
-    writer.write_all(body)?;
+    let mut slices = [IoSlice::new(&len), IoSlice::new(body)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match writer.write_vectored(unsent) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err.into()),
+        }
+    }
     writer.flush()?;
     Ok(())
 }
@@ -269,6 +279,55 @@ mod tests {
         assert!(read_frame(&mut reader, &mut buf).unwrap());
         assert_eq!(buf, b"");
         assert!(!read_frame(&mut reader, &mut buf).unwrap()); // clean EOF
+    }
+
+    /// Records each write call and takes at most `per_call` bytes of it.
+    struct Trickle {
+        per_call: usize,
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(data)])
+        }
+
+        fn write_vectored(&mut self, slices: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for slice in slices {
+                let n = slice.len().min(self.per_call - taken);
+                self.bytes.extend_from_slice(&slice[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_vectored_write_and_survives_partial_writes() {
+        let body = b"one frame, one segment";
+        let mut want = Vec::new();
+        want.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        want.extend_from_slice(body);
+
+        let mut whole = Trickle { per_call: usize::MAX, calls: 0, bytes: Vec::new() };
+        write_frame(&mut whole, body).unwrap();
+        assert_eq!(whole.bytes, want);
+        assert_eq!(whole.calls, 1, "prefix and body must leave in one write");
+
+        let mut byte_by_byte = Trickle { per_call: 1, calls: 0, bytes: Vec::new() };
+        write_frame(&mut byte_by_byte, body).unwrap();
+        assert_eq!(byte_by_byte.bytes, want, "partial writes must still yield an intact frame");
+        assert_eq!(byte_by_byte.calls, want.len());
+        let mut buf = Vec::new();
+        assert!(read_frame(&mut &byte_by_byte.bytes[..], &mut buf).unwrap());
+        assert_eq!(buf, body);
     }
 
     #[test]

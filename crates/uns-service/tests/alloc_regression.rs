@@ -19,16 +19,23 @@
 //! zero bytes per update. It counts only its own thread's allocations:
 //! the test harness formats the sibling test's output on another thread
 //! while it runs.
+//!
+//! A third test runs the long feed session over reactor TCP, where the
+//! worker encodes each Fed reply into its thread's reused frame buffer and
+//! writes it to the socket itself, under the same two bounds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use uns_core::NodeId;
 use uns_service::protocol::Request;
 use uns_service::transport::Transport;
 use uns_service::wire::{read_frame, write_frame};
-use uns_service::{EstimatorKind, HashFamilyKind, Server, ServerConfig, StreamConfig};
+use uns_service::{
+    EstimatorKind, HashFamilyKind, ReactorConfig, Server, ServerConfig, StreamConfig,
+};
 
 struct CountingAllocator;
 
@@ -74,9 +81,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// The two tests must not run concurrently: the per-batch test counts
-/// every thread's allocations. A failure in one must not fail the other
-/// through a poisoned lock, so both take it past poisoning.
+/// The tests must not run concurrently: the per-batch tests count every
+/// thread's allocations. A failure in one must not fail another through a
+/// poisoned lock, so each takes it past poisoning.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Sends one pre-encoded frame and reads the reply into a reused buffer,
@@ -193,5 +200,59 @@ fn metrics_hot_path_allocates_zero_bytes_per_update() {
     assert_eq!(
         allocated, 0,
         "metrics hot path allocated {allocated} bytes over 10k updates; it must be atomics only"
+    );
+}
+
+#[test]
+fn reactor_feed_session_does_not_allocate_per_batch_proportionally() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let server = Server::start(ServerConfig { workers: 1, queue_depth: 16 });
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (first_window, second_window) = std::thread::scope(|scope| {
+        let reactor = scope.spawn(|| server.serve_reactor(listener, ReactorConfig::default()));
+        let mut reader = TcpStream::connect(addr).expect("connect");
+        let mut writer = reader.try_clone().expect("clone socket");
+
+        let mut body = Vec::new();
+        let config = StreamConfig {
+            kind: EstimatorKind::CountMin,
+            capacity: 10,
+            width: 10,
+            depth: 5,
+            seed: 42,
+            family: HashFamilyKind::Mersenne,
+        };
+        Request::CreateStream { name: "s", config }.encode(&mut body);
+        let mut reply = Vec::new();
+        write_frame(&mut writer, &body).expect("write create");
+        assert!(read_frame(&mut reader, &mut reply).expect("read create reply"));
+
+        const BATCH: usize = 4096;
+        let ids: Vec<NodeId> = (0..BATCH as u64).map(|i| NodeId::new(i % 512)).collect();
+        let mut request = Vec::new();
+        Request::encode_batch(&mut request, true, "s", &ids);
+
+        // Warm-up: the connection's buffers, the pooled id/output buffers,
+        // the worker's frame buffer and the completion queue reach their
+        // steady-state capacities.
+        for _ in 0..100 {
+            feed_once(&mut reader, &mut writer, &request, &mut reply);
+        }
+        let first = measure_window(150, &mut reader, &mut writer, &request, &mut reply);
+        let second = measure_window(150, &mut reader, &mut writer, &request, &mut reply);
+        server.stop();
+        reactor.join().expect("reactor thread").expect("reactor exit");
+        (first, second)
+    });
+
+    assert!(
+        first_window < 8 * 1024,
+        "{first_window} bytes allocated per 4096-id batch over reactor TCP: the hot path \
+         regressed to O(batch)"
+    );
+    assert!(
+        second_window <= first_window.saturating_mul(2) + 512,
+        "per-batch allocations grew over the reactor session: {first_window} -> {second_window}"
     );
 }
