@@ -5,10 +5,11 @@
 //! Two invariants the tests pin:
 //!
 //! * **Stats/Metrics agreement** — every counter the wire `Stats` opcode
-//!   reports is backed by the *same* number the exposition renders: either
-//!   literally the same atomic (busy rejections) or bumped at the same
-//!   single-writer site as the worker-owned total it mirrors. After
-//!   quiescence the two surfaces agree bit for bit.
+//!   reports is read from the same registered atomic the exposition
+//!   renders. The per-stream series are the stream's only counters: reply
+//!   positions and durable snapshots read them too, and the owning worker
+//!   is their one writer, so they are exact. After quiescence the two
+//!   surfaces agree bit for bit.
 //! * **Allocation-free hot path** — per-batch instrumentation is relaxed
 //!   atomic adds plus two `Instant` reads; registration (the only
 //!   allocating step) happens once at stream create/restore/recover.
@@ -17,7 +18,7 @@ use crate::wal::{DurabilityStats, WalMetrics};
 use std::sync::Arc;
 use std::time::Duration;
 use uns_metrics::{Counter, Gauge, LatencyHistogram, MetricsRegistry, TraceKind, TraceLog};
-use uns_sim::{PipelineSeries, PipelineStats};
+use uns_sim::PipelineSeries;
 
 /// Exposition family name for per-stream busy rejections.
 pub const METRIC_STREAM_BUSY: &str = "uns_stream_busy_rejections_total";
@@ -336,21 +337,25 @@ pub fn replication_ack_wait(registry: &MetricsRegistry) -> Arc<LatencyHistogram>
     registry.histogram(METRIC_REPLICATION_ACK_WAIT, HELP_REPLICATION_ACK_WAIT, &[])
 }
 
-/// The per-stream metric handles a worker holds inside its stream state.
-/// Every update is a relaxed atomic op on a pre-registered series.
-#[derive(Debug)]
+/// The per-stream metric handles a worker holds inside its stream state:
+/// the stream's counters themselves, not a copy of them. The worker (and
+/// the WAL writer it owns) is the only writer, so reading a series back
+/// gives the exact total. Every update is a relaxed atomic op on a
+/// pre-registered series. A clone holds the same series.
+#[derive(Debug, Clone)]
 pub(crate) struct StreamMetrics {
     /// Shared stream name for trace events (no allocation per event).
     pub name: Arc<str>,
     trace: Arc<TraceLog>,
-    /// Pipeline accounting series (elements/admitted/outputs/batches/shards).
+    /// Pipeline accounting series (elements/admitted/outputs/batches/shards);
+    /// `elements` is the stream position replies carry.
     pub pipeline: PipelineSeries,
     /// Last published floor estimate.
     pub floor: Arc<Gauge>,
     floor_window_min: Arc<Gauge>,
-    /// WAL byte total — also bumped by the WAL writer via [`WalMetrics`].
+    /// WAL byte total, bumped by the WAL writer via [`WalMetrics`].
     pub wal_bytes: Arc<Counter>,
-    /// WAL record total — also bumped by the WAL writer via [`WalMetrics`].
+    /// WAL record total, bumped by the WAL writer via [`WalMetrics`].
     pub wal_records: Arc<Counter>,
     /// Checkpoint compactions.
     pub compactions: Arc<Counter>,
@@ -361,18 +366,23 @@ pub(crate) struct StreamMetrics {
 }
 
 impl StreamMetrics {
-    /// Overwrites the pipeline series from a stats snapshot — install and
-    /// recovery paths, where the counters must resume persisted totals.
-    pub fn sync_pipeline(&self, stats: &PipelineStats) {
-        self.pipeline.set_to(stats);
-    }
-
-    /// Overwrites the durability series from a stats snapshot.
+    /// Overwrites the durability series — install and recovery paths,
+    /// where the counters resume persisted totals.
     pub fn sync_durability(&self, stats: &DurabilityStats) {
         self.wal_bytes.set(stats.wal_bytes);
         self.wal_records.set(stats.wal_records);
         self.compactions.set(stats.snapshot_compactions);
         self.recoveries.set(stats.recoveries);
+    }
+
+    /// Reads the durability series back as totals.
+    pub fn durability(&self) -> DurabilityStats {
+        DurabilityStats {
+            wal_bytes: self.wal_bytes.get(),
+            wal_records: self.wal_records.get(),
+            snapshot_compactions: self.compactions.get(),
+            recoveries: self.recoveries.get(),
+        }
     }
 
     /// The handle bundle the stream's WAL writer bumps on its own append

@@ -85,8 +85,8 @@ use crate::sampler::ServiceSampler;
 use crate::storage::StorageBackend;
 use crate::transport::Transport;
 use crate::wal::{
-    encode_record, parse_wal, DurabilityStats, DurableSnapshot, FsyncPolicy, WalOp, WalOpRef,
-    WalWriter, WAL_HEADER_LEN,
+    encode_record, parse_wal, DurabilityStats, DurableSnapshot, FsyncPolicy, WalOpRef, WalWriter,
+    WAL_HEADER_LEN,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -537,11 +537,12 @@ impl Server {
                 durability.fsync,
                 workers_n,
                 &metrics,
+                metrics.stream(name),
                 0,
             )?;
             let worker = index % workers_n;
             let id = index as u64;
-            let recoveries = state.durable.as_ref().map_or(0, |d| d.counters.recoveries);
+            let recoveries = state.metrics.recoveries.get();
             state.metrics.event(TraceKind::StreamRecovered, worker as u64, recoveries);
             initial[worker].insert(id, state);
             registry_streams.insert(
@@ -583,20 +584,21 @@ impl Server {
             let (tx, rx) = mpsc::sync_channel::<Job>(queue_depth);
             senders.push(tx);
             let shutdown = Arc::clone(&shutdown);
-            let registry = Arc::clone(&registry);
-            let pool = Arc::clone(&pool);
-            let durability = durability.clone();
-            let metrics = Arc::clone(&metrics);
-            let sink = Arc::clone(&replication_sink);
+            let worker = Worker {
+                release: Release::new(index),
+                index,
+                pool_size: workers_n,
+                streams,
+                pool: Arc::clone(&pool),
+                registry: Arc::clone(&registry),
+                durability: durability.clone(),
+                metrics: Arc::clone(&metrics),
+                sink: Arc::clone(&replication_sink),
+            };
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("uns-worker-{index}"))
-                    .spawn(move || {
-                        worker_main(
-                            rx, streams, workers_n, index, &registry, &shutdown, &pool, durability,
-                            &metrics, &sink,
-                        )
-                    })
+                    .spawn(move || worker_main(&rx, &shutdown, worker))
                     .expect("spawning a worker thread"),
             );
         }
@@ -859,8 +861,8 @@ impl Server {
         streams.keys().cloned().collect()
     }
 
-    /// Demotes a stream this node serves: the name leaves the registry
-    /// (no new ops route to it), then the owning worker flushes the
+    /// Demotes a stream this node serves: the name and its series leave
+    /// the registry (no new ops route to it), then the owning worker flushes the
     /// stream's WAL and drops its in-memory state. Durable files stay on
     /// the backend — a replica applier can take them over, and
     /// [`Server::adopt_stream`] reverses the demotion.
@@ -880,6 +882,11 @@ impl Server {
                 Some(entry) if entry.ready.load(Ordering::Acquire) => {
                     let entry = entry.clone();
                     streams.remove(name);
+                    // The series leave with the name, under the same lock:
+                    // a create of the name registers fresh ones, and the
+                    // ops still queued ahead of the Demote bump only the
+                    // demoted stream's own handles.
+                    self.metrics().remove_stream(name);
                     entry
                 }
                 Some(_) => return Err(ServiceError::Busy),
@@ -896,7 +903,6 @@ impl Server {
                 other => break other,
             }
         };
-        self.metrics().remove_stream(name);
         response.into_result().map(|_| ())
     }
 }
@@ -969,38 +975,46 @@ impl Drop for AcceptWaiter {
 /// Per-stream state owned by a worker.
 struct StreamState {
     sampler: ServiceSampler,
-    stats: PipelineStats,
-    /// Present on durable servers: the stream's WAL and its counters.
+    /// Present on durable servers: the stream's WAL.
     durable: Option<DurableStream>,
-    /// Registered metric handles mirroring `stats` (bumped at the same
-    /// single-writer sites, so Stats and the exposition agree bit for bit
-    /// at quiescence).
+    /// The stream's registered series, which are also its only counters:
+    /// reply positions, `Stats` and durable snapshots read them back, and
+    /// the owning worker is their one writer.
     metrics: StreamMetrics,
 }
 
-/// Durability side of one stream: its open log plus cumulative counters.
+impl StreamState {
+    /// Applies one logged op to the sampler and the stream's counters: the
+    /// one apply path, run by the worker on a live op and by WAL replay on
+    /// recovery. A Feed appends its outputs to `outputs` and moves them into
+    /// its reply; the other ops leave `outputs` alone.
+    fn apply(&mut self, op: WalOpRef<'_>, outputs: &mut Vec<NodeId>) -> Response {
+        let series = &self.metrics.pipeline;
+        let (ids, admitted) = match op {
+            WalOpRef::Ingest(ids) => (ids, self.sampler.ingest_batch(ids)),
+            WalOpRef::Feed(ids) => (ids, self.sampler.feed_batch(ids, outputs)),
+            WalOpRef::Sample => return Response::Sampled(self.sampler.sample()),
+        };
+        series.elements.add(ids.len() as u64);
+        series.admitted.add(admitted);
+        series.batches.inc();
+        let position = series.elements.get();
+        if let WalOpRef::Ingest(_) = op {
+            return Response::Ingested { position, admitted };
+        }
+        series.outputs.add(ids.len() as u64);
+        Response::Fed { position, admitted, outputs: std::mem::take(outputs) }
+    }
+}
+
+/// Durability side of one stream: its open log.
 struct DurableStream {
     /// The stream's registry name (logs and snapshots are keyed by it).
     name: String,
     wal: WalWriter,
-    /// Counters as of the last persisted snapshot (plus recoveries since);
-    /// the live totals add the writer's appended bytes/records on top.
-    counters: DurabilityStats,
     /// The mutating op's record, encoded once: the bytes shipped to the
     /// replicas are the bytes appended here. Reused across ops.
     record: Vec<u8>,
-}
-
-impl DurableStream {
-    /// Lifetime totals: persisted base + what this writer appended since.
-    fn current_stats(&self) -> DurabilityStats {
-        DurabilityStats {
-            wal_bytes: self.counters.wal_bytes + self.wal.appended_bytes,
-            wal_records: self.counters.wal_records + self.wal.appended_records,
-            snapshot_compactions: self.counters.snapshot_compactions,
-            recoveries: self.counters.recoveries,
-        }
-    }
 }
 
 /// Rebuilds one stream from its durable state: decode the latest durable
@@ -1009,6 +1023,11 @@ impl DurableStream {
 /// [`uns_core::NodeSampler`]), and resume the log at its valid end.
 /// Deterministic coins make the replayed state bit-equal to the state the
 /// ops originally produced.
+///
+/// `series` are the stream's counters the rebuilt state resumes: the
+/// name's registered series on a restart or promotion, the stream's own
+/// handles on an in-place heal (a stream demoted while its queue drains
+/// has left the registry, and must not re-register its name there).
 ///
 /// `generation_bump` is 0 on every plain recovery (restart, in-place
 /// heal) and 1 on a failover promotion: the rebuilt stream continues as a
@@ -1027,13 +1046,14 @@ fn recover_stream(
     fsync: FsyncPolicy,
     shards: usize,
     metrics: &ServiceMetrics,
+    series: StreamMetrics,
     generation_bump: u64,
 ) -> Result<StreamState, ServiceError> {
     let blob = backend
         .read_snapshot(name)?
         .ok_or_else(|| ServiceError::Snapshot(format!("stream {name:?}: no durable snapshot")))?;
     let snap = DurableSnapshot::decode(&blob)?;
-    let mut sampler = ServiceSampler::restore(&snap.sampler_blob)?;
+    let sampler = ServiceSampler::restore(&snap.sampler_blob)?;
     let mut store = backend.open_wal(name)?;
     let bytes = store.read_all()?;
     let parsed = parse_wal(&bytes);
@@ -1047,80 +1067,60 @@ fn recover_stream(
     // restored sampler would silently corrupt it. In every unusable case
     // the snapshot alone is the truth and the log restarts empty.
     let usable =
-        parsed.header.is_some_and(|h| h.generation == snap.generation && h.base_seq <= snap.seq);
-    let mut stats = PipelineStats {
+        parsed.header.filter(|h| h.generation == snap.generation && h.base_seq <= snap.seq);
+    let generation = snap.generation.wrapping_add(generation_bump);
+    let mut durability = snap.durability;
+    durability.recoveries += 1;
+    // Opening the writer is the last step that can fail, so it runs before
+    // anything touches the stream's series: a failed attempt leaves them as
+    // they were.
+    let (mut wal, replay) = match usable {
+        Some(header) => {
+            let skip = usize::try_from(snap.seq - header.base_seq)
+                .unwrap_or(usize::MAX)
+                .min(parsed.records.len());
+            // Fold the replayed records back into the lifetime counters:
+            // they were appended after the snapshot's counters were
+            // persisted. The `skip` prefix was already counted at the last
+            // checkpoint, so only the bytes from where it ends to the valid
+            // end are new.
+            let replayed_from = match skip.checked_sub(1) {
+                Some(last_skipped) => parsed.record_ends[last_skipped],
+                None => WAL_HEADER_LEN as u64,
+            };
+            durability.wal_records += (parsed.records.len() - skip) as u64;
+            durability.wal_bytes += parsed.valid_len.saturating_sub(replayed_from);
+            let next_seq = header.base_seq + parsed.records.len() as u64;
+            let wal = WalWriter::resume(store, generation, parsed.valid_len, next_seq, fsync)?;
+            (wal, &parsed.records[skip..])
+        }
+        None => (WalWriter::create(store, generation, snap.seq, fsync)?, &[][..]),
+    };
+    // Resume — not restart — the series from the persisted lifetime totals,
+    // then replay through the live apply path, which bumps them.
+    series.pipeline.set_to(&PipelineStats {
         elements: snap.elements,
         admitted: snap.admitted,
         outputs: snap.outputs,
         chunks: usize::try_from(snap.chunks).unwrap_or(usize::MAX),
         shards,
-    };
-    let mut counters = snap.durability;
-    counters.recoveries += 1;
-    let wal = if usable {
-        let header = parsed.header.expect("usable implies a decoded header");
-        let skip = usize::try_from(snap.seq - header.base_seq)
-            .unwrap_or(usize::MAX)
-            .min(parsed.records.len());
-        let mut outputs = Vec::new();
-        for op in &parsed.records[skip..] {
-            match op {
-                WalOp::Ingest(ids) => {
-                    stats.admitted += sampler.ingest_batch(ids);
-                    stats.elements += ids.len() as u64;
-                    stats.chunks += 1;
-                }
-                WalOp::Feed(ids) => {
-                    outputs.clear();
-                    stats.admitted += sampler.feed_batch(ids, &mut outputs);
-                    stats.elements += ids.len() as u64;
-                    stats.outputs += ids.len() as u64;
-                    stats.chunks += 1;
-                }
-                WalOp::Sample => {
-                    let _ = sampler.sample();
-                }
-            }
+    });
+    series.sync_durability(&durability);
+    wal.set_metrics(series.wal_metrics(metrics));
+    let durable = DurableStream { name: name.to_string(), wal, record: Vec::new() };
+    let mut state = StreamState { sampler, durable: Some(durable), metrics: series };
+    let mut outputs = Vec::new();
+    for op in replay {
+        if let Response::Fed { outputs: used, .. } = state.apply(op.into(), &mut outputs) {
+            outputs = used;
+            outputs.clear();
         }
-        // Fold the replayed records back into the lifetime counters: they
-        // were appended after the snapshot's counters were persisted. The
-        // `skip` prefix was already counted at the last checkpoint, so
-        // only the bytes from where it ends to the valid end are new.
-        counters.wal_records += (parsed.records.len() - skip) as u64;
-        let replayed_from = match skip.checked_sub(1) {
-            Some(last_skipped) => parsed.record_ends[last_skipped],
-            None => WAL_HEADER_LEN as u64,
-        };
-        counters.wal_bytes += parsed.valid_len.saturating_sub(replayed_from);
-        WalWriter::resume(
-            store,
-            snap.generation.wrapping_add(generation_bump),
-            parsed.valid_len,
-            header.base_seq + parsed.records.len() as u64,
-            fsync,
-        )?
-    } else {
-        WalWriter::create(store, snap.generation.wrapping_add(generation_bump), snap.seq, fsync)?
-    };
-    let mut state = StreamState {
-        sampler,
-        stats,
-        durable: Some(DurableStream { name: name.to_string(), wal, counters, record: Vec::new() }),
-        metrics: metrics.stream(name),
-    };
-    if let Some(durable) = state.durable.as_mut() {
-        durable.wal.set_metrics(state.metrics.wal_metrics(metrics));
     }
     // Checkpoint the recovered state: replaying the same log tail at the
     // next crash would be wasted work, and the bumped counters (above all
     // `recoveries`) must survive a further crash without waiting for a
     // size-triggered compaction.
     checkpoint(&mut state, backend, false);
-    // Resume — not restart — the exported series from the recovered
-    // lifetime totals, exactly as Stats resumes them.
-    state.metrics.sync_pipeline(&state.stats);
-    let current = state.durable.as_ref().expect("recovered stream is durable").current_stats();
-    state.metrics.sync_durability(&current);
     state.metrics.floor.set_u64(state.sampler.floor_estimate());
     Ok(state)
 }
@@ -1190,12 +1190,7 @@ fn create_durable_stream(
     let store = backend.open_wal(name).map_err(|e| CreateDurableError::Committed(e.into()))?;
     let wal = WalWriter::create(store, generation, 0, fsync)
         .map_err(|e| CreateDurableError::Committed(e.into()))?;
-    Ok(DurableStream {
-        name: name.to_string(),
-        wal,
-        counters: DurabilityStats::default(),
-        record: Vec::new(),
-    })
+    Ok(DurableStream { name: name.to_string(), wal, record: Vec::new() })
 }
 
 /// Compacts the stream's log when it crossed the size threshold: persist a
@@ -1223,17 +1218,18 @@ fn checkpoint(state: &mut StreamState, backend: &Arc<dyn StorageBackend>, count_
     let Some(durable) = state.durable.as_mut() else { return };
     let mut sampler_blob = Vec::new();
     state.sampler.snapshot(&mut sampler_blob);
-    let mut persisted = durable.current_stats();
+    let pipeline = state.metrics.pipeline.totals();
+    let mut persisted = state.metrics.durability();
     if count_compaction {
         persisted.snapshot_compactions += 1;
     }
     let snap = DurableSnapshot {
         generation: durable.wal.generation(),
         seq: durable.wal.next_seq(),
-        elements: state.stats.elements,
-        admitted: state.stats.admitted,
-        outputs: state.stats.outputs,
-        chunks: state.stats.chunks as u64,
+        elements: pipeline.elements,
+        admitted: pipeline.admitted,
+        outputs: pipeline.outputs,
+        chunks: pipeline.chunks as u64,
         durability: persisted,
         sampler_blob,
     };
@@ -1243,139 +1239,450 @@ fn checkpoint(state: &mut StreamState, backend: &Arc<dyn StorageBackend>, count_
         return; // log keeps growing; retried at the next crossing
     }
     let log_bytes_before = durable.wal.len();
-    if durable.wal.reset(snap.seq).is_ok() {
-        durable.counters = persisted;
-        durable.wal.appended_bytes = 0;
-        durable.wal.appended_records = 0;
-        if count_compaction {
-            state.metrics.compactions.inc();
-            state.metrics.event(
-                TraceKind::Compaction,
-                log_bytes_before,
-                persisted.snapshot_compactions,
-            );
-        }
+    if durable.wal.reset(snap.seq).is_ok() && count_compaction {
+        state.metrics.compactions.inc();
+        state.metrics.event(
+            TraceKind::Compaction,
+            log_bytes_before,
+            persisted.snapshot_compactions,
+        );
     }
     // On reset failure the writer is broken; the next mutating op sends
     // the stream through recovery, which lands on this snapshot.
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_main(
-    rx: Receiver<Job>,
-    mut streams: HashMap<u64, StreamState>,
-    pool_size: usize,
+/// One worker thread's state: the streams it owns and everything their ops
+/// touch. [`Worker::step`] runs one routed job to its reply, and
+/// [`worker_main`] is the receive loop around it.
+struct Worker {
+    /// The reply path: sends each reply, or holds it for its acks.
+    release: Release,
     index: usize,
-    registry: &Registry,
-    shutdown: &AtomicBool,
-    pool: &BufferPool,
+    /// Worker-pool size: every stream's `shards` series.
+    pool_size: usize,
+    streams: HashMap<u64, StreamState>,
+    pool: Arc<BufferPool>,
+    registry: Arc<Registry>,
     durability: Option<DurabilityConfig>,
-    metrics: &Arc<ServiceMetrics>,
-    sink: &SinkCell,
-) {
-    let mut release = Release::new(index);
-    loop {
-        // The shutdown check runs every iteration, not only when the
-        // bounded-wait receive times out: a connected client keeping jobs
-        // flowing would otherwise starve the timeout arm forever and
-        // `Drop` (which joins the workers) would hang under active load.
-        if shutdown.load(Ordering::Relaxed) {
-            break;
-        }
+    metrics: Arc<ServiceMetrics>,
+    sink: SinkCell,
+}
+
+/// A worker thread: steps through jobs until shutdown, ticks while idle,
+/// and flushes its logs on the way out.
+fn worker_main(rx: &Receiver<Job>, shutdown: &AtomicBool, mut worker: Worker) {
+    // The shutdown check runs every iteration, not only when the
+    // bounded-wait receive times out: a connected client keeping jobs
+    // flowing would otherwise starve the timeout arm forever and `Drop`
+    // (which joins the workers) would hang under active load.
+    while !shutdown.load(Ordering::Relaxed) {
         // Bounded-wait receive: the router (shared by the server and every
         // pump thread) owns the job senders, so the channel does not
         // disconnect while connections are open — the shutdown flag is
         // what makes Drop terminate promptly even with idle connections
         // attached.
-        let job = match rx.recv_timeout(std::time::Duration::from_millis(25)) {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Idle tick: flush Timer-policy WALs whose interval has
-                // elapsed. The append path only consults the clock while
-                // ops arrive, so without this a record written just
-                // before traffic stops would stay unsynced indefinitely —
-                // the timer policy's loss bound must hold on idle streams
-                // too. A failed sync marks the writer broken; the next op
-                // on that stream heals it through the usual recovery path.
-                for state in streams.values_mut() {
-                    if let Some(durable) = state.durable.as_mut() {
-                        if durable.wal.timer_sync_due() {
-                            let _ = durable.wal.sync();
-                        }
-                    }
-                }
-                continue;
-            }
+        match rx.recv_timeout(Duration::from_millis(25)) {
+            Ok(job) => worker.step(job),
+            Err(mpsc::RecvTimeoutError::Timeout) => worker.tick(),
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        };
-        // Panic isolation: a bug in one stream's sampler must cost that
-        // job an error reply, not the worker thread — a dead worker would
-        // leave every stream of this shard permanently unreachable. The
-        // sampler is plain data; a panic can at worst leave the *stream it
-        // hit* mid-mutation, so a panicking *mutating* op drops that
-        // stream's in-memory state. A durable stream then **self-heals**:
-        // it is rebuilt in place from snapshot + log replay (registry
-        // entry intact) and the client is told the outcome is unknown. A
-        // non-durable stream — or one whose recovery fails — is removed
-        // from this worker AND from the name registry, so the name errors
-        // as unknown (not wedged behind a ready entry that can neither
-        // answer nor be re-created) and create works again. Read-only ops
-        // (floor/snapshot/stats) cannot corrupt state, so their stream
-        // survives a panic intact.
-        metrics.queue_depth[index].dec();
+        }
+    }
+    worker.flush();
+}
+
+impl Worker {
+    /// Runs one routed job to its reply.
+    ///
+    /// Panic isolation: a bug in one stream's sampler must cost that job
+    /// an error reply, not the worker thread — a dead worker would leave
+    /// every stream of this shard permanently unreachable. The sampler is
+    /// plain data; a panic can at worst leave the *stream it hit*
+    /// mid-mutation, so a panicking *mutating* op drops that stream's
+    /// in-memory state. A durable stream then **self-heals**: it is rebuilt
+    /// in place from snapshot + log replay (registry entry intact) and the
+    /// client is told the outcome is unknown. A non-durable stream — or one
+    /// whose recovery fails — is removed from this worker AND from the name
+    /// registry, so the name errors as unknown (not wedged behind a ready
+    /// entry that can neither answer nor be re-created) and create works
+    /// again. Read-only ops (floor/snapshot/stats) cannot corrupt state, so
+    /// their stream survives a panic intact.
+    fn step(&mut self, job: Job) {
+        self.metrics.queue_depth[self.index].dec();
         let Job { stream, op, reply, reservation, stats } = job;
         let mutates = op_mutates(&op);
         let op_index = op_metric_index(&op);
         let started = Instant::now();
-        let (response, acks) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(
-                &mut streams,
-                pool,
-                pool_size,
-                index,
-                stream,
-                op,
-                registry,
-                &durability,
-                metrics,
-                sink,
-            )
-        }))
-        .unwrap_or_else(|panic| {
+        let execute = std::panic::AssertUnwindSafe(|| self.execute(stream, op));
+        let (response, acks) = std::panic::catch_unwind(execute).unwrap_or_else(|panic| {
             let message = format!("stream operation panicked: {}", panic_message(panic.as_ref()));
-            metrics.trace_global(TraceKind::WorkerPanic, stream, 0);
-            if !mutates {
-                return (Response::Error { code: ErrorCode::Other, message }, None);
-            }
-            let response =
-                match heal_in_place(&mut streams, stream, &durability, pool_size, metrics) {
-                    HealOutcome::Healed => Response::Error {
-                        code: ErrorCode::Durability,
-                        message: format!("{message}; stream recovered, op outcome unknown"),
-                    },
-                    HealOutcome::Lost { purge } => {
-                        tear_down_lost_stream(registry, stream, &durability, purge, metrics);
-                        Response::Error { code: ErrorCode::Other, message }
-                    }
-                };
+            self.metrics.trace_global(TraceKind::WorkerPanic, stream, 0);
+            let response = if mutates && self.heal_or_tear_down(stream) {
+                Response::Error {
+                    code: ErrorCode::Durability,
+                    message: format!("{message}; stream recovered, op outcome unknown"),
+                }
+            } else {
+                Response::Error { code: ErrorCode::Other, message }
+            };
             (response, None)
         });
         if let Some(op_index) = op_index {
-            metrics.record_op(op_index, started.elapsed());
+            self.metrics.record_op(op_index, started.elapsed());
         }
         // A fresh name's reservation settles before anyone hears back:
         // ready on Ok, rolled back otherwise (panics included).
         if let Some(reservation) = reservation {
             reservation.settle(&response);
         }
-        release.reply(stream, Held { reply, response, acks, stats });
+        self.release.reply(stream, Held { reply, response, acks, stats });
     }
-    // Drain the durability buffers on the way out: an orderly shutdown
-    // should not cost the EveryN/Timer loss window.
-    for state in streams.values_mut() {
-        if let Some(durable) = state.durable.as_mut() {
+
+    /// Idle tick: flushes Timer-policy WALs whose interval has elapsed.
+    /// The append path only consults the clock while ops arrive, so
+    /// without this a record written just before traffic stops would stay
+    /// unsynced indefinitely — the timer policy's loss bound must hold on
+    /// idle streams too. A failed sync marks the writer broken; the next op
+    /// on that stream heals it through the usual recovery path.
+    fn tick(&mut self) {
+        for durable in self.streams.values_mut().filter_map(|state| state.durable.as_mut()) {
+            if durable.wal.timer_sync_due() {
+                let _ = durable.wal.sync();
+            }
+        }
+    }
+
+    /// Drains the durability buffers on the way out: an orderly shutdown
+    /// should not cost the EveryN/Timer loss window.
+    fn flush(&mut self) {
+        for durable in self.streams.values_mut().filter_map(|state| state.durable.as_mut()) {
             let _ = durable.wal.sync();
         }
+    }
+
+    /// Runs one routed job against the worker's stream table. Batch
+    /// buffers arriving in `op` are recycled into the pool once consumed;
+    /// Feed replies take their outputs buffer from the pool (the thread
+    /// that encodes the reply returns it). On a durable server, mutating
+    /// ops are write-ahead logged before they touch the sampler, and the
+    /// log is compacted when it crosses the configured size. Returns the
+    /// reply and, on a replicated stream, the replica acks it must wait
+    /// for.
+    fn execute(&mut self, stream: u64, op: StreamOp) -> (Response, Option<Box<dyn PendingAcks>>) {
+        let logged = match &op {
+            StreamOp::Ingest(ids) => WalOpRef::Ingest(ids),
+            StreamOp::Feed(ids) => WalOpRef::Feed(ids),
+            StreamOp::Sample => WalOpRef::Sample,
+            _ => return (self.execute_unlogged(stream, op), None),
+        };
+        let acks = match self.wal_before_apply(stream, logged) {
+            Ok(acks) => acks,
+            Err(reply) => {
+                if let StreamOp::Ingest(ids) | StreamOp::Feed(ids) = op {
+                    self.pool.put(ids);
+                }
+                return (reply, None);
+            }
+        };
+        let state = self.streams.get_mut(&stream).expect("checked by wal_before_apply");
+        let mut outputs =
+            if matches!(op, StreamOp::Feed(_)) { self.pool.take() } else { Vec::new() };
+        let response = state.apply(logged, &mut outputs);
+        // Live ops only: replay publishes no floor trajectory.
+        if let Response::Ingested { position, .. } | Response::Fed { position, .. } = response {
+            state.metrics.observe_floor(position, state.sampler.floor_estimate());
+        }
+        if let StreamOp::Ingest(ids) | StreamOp::Feed(ids) = op {
+            self.pool.put(ids);
+        }
+        if let Some(d) = &self.durability {
+            maybe_compact(state, d.compact_bytes, &d.backend);
+        }
+        (response, acks)
+    }
+
+    /// [`Worker::execute`] for the ops that write no log record: creation,
+    /// promotion, demotion and the reads.
+    fn execute_unlogged(&mut self, stream: u64, op: StreamOp) -> Response {
+        match op {
+            StreamOp::Create(name, config) => match ServiceSampler::create(&config) {
+                Ok(sampler) => self.install(stream, &name, sampler, "created"),
+                Err(err) => error_response(&err),
+            },
+            StreamOp::Restore(name, blob) => match ServiceSampler::restore(&blob) {
+                Ok(sampler) => self.install(stream, &name, sampler, "restored"),
+                Err(err) => error_response(&err),
+            },
+            StreamOp::Adopt(name) => {
+                let Some(d) = &self.durability else {
+                    return Response::Error {
+                        code: ErrorCode::InvalidConfig,
+                        message: "promotion requires a durable server".into(),
+                    };
+                };
+                // Rebuild from the replicated durable state with the
+                // incarnation generation bumped, so anything the previous
+                // incarnation left behind (a stale shipment, an old
+                // primary's log) fails the generation check instead of
+                // replaying onto the promoted stream.
+                let series = self.metrics.stream(&name);
+                match recover_stream(
+                    &d.backend,
+                    &name,
+                    d.fsync,
+                    self.pool_size,
+                    &self.metrics,
+                    series,
+                    1,
+                ) {
+                    Ok(state) => {
+                        let generation =
+                            state.durable.as_ref().map_or(0, |durable| durable.wal.generation());
+                        state.metrics.event(TraceKind::Promote, self.index as u64, generation);
+                        self.metrics.stream_replication(&name).failovers.inc();
+                        self.streams.insert(stream, state);
+                        Response::Ok
+                    }
+                    Err(err) => Response::Error {
+                        code: ErrorCode::Durability,
+                        message: format!("stream not adopted: {err}"),
+                    },
+                }
+            }
+            StreamOp::Demote => match self.streams.remove(&stream) {
+                Some(mut state) => {
+                    // Flush the WAL so the durable state is complete to the
+                    // policy's promise, then drop: the writer closes, the
+                    // on-backend files stay for whoever takes the stream
+                    // over (a replica applier, or a later re-adoption).
+                    if let Some(durable) = state.durable.as_mut() {
+                        let _ = durable.wal.sync();
+                    }
+                    state.metrics.event(TraceKind::Demote, self.index as u64, 0);
+                    Response::Ok
+                }
+                None => unknown_stream(),
+            },
+            StreamOp::Floor => match self.streams.get(&stream) {
+                Some(state) => {
+                    let floor = state.sampler.floor_estimate();
+                    state.metrics.floor.set_u64(floor);
+                    Response::Value(floor)
+                }
+                None => unknown_stream(),
+            },
+            StreamOp::Snapshot => match self.streams.get(&stream) {
+                Some(state) => {
+                    let mut blob = Vec::new();
+                    state.sampler.snapshot(&mut blob);
+                    Response::Snapshot(blob)
+                }
+                None => unknown_stream(),
+            },
+            StreamOp::Stats => match self.streams.get(&stream) {
+                Some(state) => Response::Stats(StreamStats {
+                    pipeline: state.metrics.pipeline.totals(),
+                    busy_rejections: 0, // folded in as the reply leaves
+                    durability: state.metrics.durability(),
+                    // Folded in as the reply leaves, from the stream's
+                    // registered atomics, like busy_rejections.
+                    replication: ReplicationStats::default(),
+                }),
+                None => unknown_stream(),
+            },
+            StreamOp::Ingest(_) | StreamOp::Feed(_) | StreamOp::Sample => {
+                unreachable!("logged ops run in Worker::execute")
+            }
+            StreamOp::Replicate(_) => unreachable!("shipments run on the replica applier"),
+            #[cfg(test)]
+            StreamOp::Panic => panic!("test-injected worker panic"),
+        }
+    }
+
+    /// Appends `op` to the stream's WAL (when durable) **before** it is
+    /// applied. `Ok` means the op is durable locally to the policy's
+    /// promise and may be applied; it carries the replica acks still
+    /// outstanding, which the op's reply must wait out. `Err` carries the
+    /// reply to send instead — the op was not applied, and a broken writer
+    /// has already sent the stream through in-place recovery (or torn it
+    /// down).
+    fn wal_before_apply(
+        &mut self,
+        stream: u64,
+        op: WalOpRef<'_>,
+    ) -> Result<Option<Box<dyn PendingAcks>>, Response> {
+        let Some(state) = self.streams.get_mut(&stream) else {
+            return Err(unknown_stream());
+        };
+        let Some(durable) = state.durable.as_mut() else {
+            return Ok(None); // non-durable server: nothing to log
+        };
+        // Injected worker panic: scheduled *before* the WAL append, so a
+        // panicked op is never logged, never applied, never acknowledged.
+        if let Some(plan) = self.durability.as_ref().and_then(|d| d.fault_plan.as_ref()) {
+            if plan.worker_panics() {
+                panic!("injected worker panic");
+            }
+        }
+        // Encode once; ship and append the same bytes. The worker owns the
+        // stream exclusively, so the sink sees a frozen WAL — an attach or
+        // catch-up it performs inside `ship` cannot race new appends — and
+        // the local append runs inside `ship`, after the sends to the
+        // replicas (see [`ReplicationSink`]).
+        let DurableStream { name, wal, record } = durable;
+        record.clear();
+        encode_record(record, op);
+        let (generation, seq) = (wal.generation(), wal.next_seq());
+        let mut appended = None;
+        // Idempotent: the first call appends, repeats report its outcome.
+        let mut local = || appended.get_or_insert_with(|| wal.append_record(record)).is_ok();
+        let shipper = self.sink.lock().expect("replication sink lock poisoned").clone();
+        let acks =
+            shipper.and_then(|shipper| shipper.ship(name, generation, seq, record, &mut local));
+        // The append itself when no sink is installed (or a sink skipped it).
+        local();
+        let err = match appended.expect("local append ran") {
+            Ok(()) => return Ok(acks),
+            Err(err) => err,
+        };
+        let message = if !wal.is_broken() {
+            format!("op not applied ({err}); log repaired in place")
+        } else if self.heal_or_tear_down(stream) {
+            format!("op not applied ({err}); stream recovered in place")
+        } else {
+            format!("op not applied ({err}); stream lost: recovery failed")
+        };
+        Err(Response::Error { code: ErrorCode::Durability, message })
+    }
+
+    /// Installs a freshly created/restored sampler under `stream`, making
+    /// it durable first on a durable server, and seeds its series. The
+    /// failure handling depends on how far durability got
+    /// ([`CreateDurableError`]) and on whether the slot was fresh or an
+    /// existing stream being replaced (Restore's rewind semantics):
+    ///
+    /// - **fresh + any failure** — the client is told the create failed,
+    ///   so nothing may survive it: best-effort delete whatever durable
+    ///   state the attempt left behind (the worker rolls the registry
+    ///   reservation back when it settles it). Without the purge, the next
+    ///   restart would resurrect a stream that was never acknowledged.
+    /// - **replace + `Clean`** — the old incarnation's durable state and
+    ///   in-memory stream are both untouched; report the failure and keep
+    ///   serving the old stream, its series as they were.
+    /// - **replace + `Committed`** — durable truth already moved to the
+    ///   new incarnation (its snapshot is the commit point), so the old
+    ///   in-memory state must not keep serving. Recover in place: the
+    ///   generation check discards the old incarnation's log, so a
+    ///   successful heal lands on exactly the state the client asked to
+    ///   install — answered `Ok`, honestly. A failed heal loses the stream
+    ///   (name freed, durable state purged).
+    fn install(
+        &mut self,
+        stream: u64,
+        name: &str,
+        sampler: ServiceSampler,
+        verb: &str,
+    ) -> Response {
+        let mut durable = match &self.durability {
+            None => None,
+            Some(d) => match create_durable_stream(&d.backend, name, &sampler, d.fsync) {
+                Ok(durable) => Some(durable),
+                Err(err) => {
+                    let committed = matches!(err, CreateDurableError::Committed(_));
+                    let (CreateDurableError::Clean(err) | CreateDurableError::Committed(err)) = err;
+                    let message = format!("stream not {verb}: {err}");
+                    let fresh = !self.streams.contains_key(&stream);
+                    if fresh {
+                        let _ = d.backend.remove_stream(name);
+                    }
+                    if fresh || !committed {
+                        return Response::Error { code: ErrorCode::Durability, message };
+                    }
+                    if self.heal_or_tear_down(stream) {
+                        return Response::Ok;
+                    }
+                    let message = format!("{message}; stream lost: recovery failed");
+                    return Response::Error { code: ErrorCode::Durability, message };
+                }
+            },
+        };
+        // Registration (or re-acquisition for a replaced stream) happens
+        // here, once — the hot path only bumps the returned handles.
+        let metrics = self.metrics.stream(name);
+        metrics
+            .pipeline
+            .set_to(&PipelineStats { shards: self.pool_size, ..PipelineStats::default() });
+        metrics.sync_durability(&DurabilityStats::default());
+        if let Some(durable) = durable.as_mut() {
+            durable.wal.set_metrics(metrics.wal_metrics(&self.metrics));
+        }
+        let kind =
+            if verb == "created" { TraceKind::StreamCreated } else { TraceKind::StreamRestored };
+        metrics.event(kind, self.index as u64, 0);
+        self.streams.insert(stream, StreamState { sampler, durable, metrics });
+        Response::Ok
+    }
+
+    /// Rebuilds a durable stream in place after its in-memory state was
+    /// lost (worker panic, broken WAL writer) and returns `true`. A stream
+    /// that is not durable, or whose recovery keeps failing, is torn down
+    /// instead (`false`): its name leaves the registry, so create works
+    /// again instead of wedging behind a ready entry that can neither
+    /// answer nor be replaced; its series stop exporting; and its durable
+    /// state is deleted, so the runtime view ("unknown stream") and the
+    /// post-restart view agree. The purge is best-effort by design: if it
+    /// fails, the worst case is the stream *resurrecting* at the next
+    /// restart from its last consistent snapshot+log — stale, but never
+    /// corrupt.
+    fn heal_or_tear_down(&mut self, stream: u64) -> bool {
+        let mut purge = None;
+        if let Some(state) = self.streams.remove(&stream) {
+            if let (Some(d), Some(durable)) = (&self.durability, &state.durable) {
+                // Recovery itself performs I/O, so it can hit the same
+                // transient faults (torn write, failed fsync) that
+                // triggered the heal. The durable snapshot + log are intact
+                // on the backend, so a bounded retry is the difference
+                // between a blip and losing a recoverable stream; only a
+                // persistent failure tears the stream down.
+                for _ in 0..HEAL_ATTEMPTS {
+                    let recovered = recover_stream(
+                        &d.backend,
+                        &durable.name,
+                        d.fsync,
+                        self.pool_size,
+                        &self.metrics,
+                        state.metrics.clone(),
+                        0,
+                    );
+                    if let Ok(recovered) = recovered {
+                        let recoveries = recovered.metrics.recoveries.get();
+                        recovered.metrics.event(TraceKind::StreamHealed, 0, recoveries);
+                        self.streams.insert(stream, recovered);
+                        return true;
+                    }
+                }
+                purge = Some(durable.name.clone());
+            }
+            state.metrics.event(TraceKind::StreamLost, 0, 0);
+        }
+        let mut removed = None;
+        let mut names = self.registry.streams.lock().expect("registry lock poisoned");
+        names.retain(|name, entry| {
+            if entry.id == stream {
+                removed = Some(name.clone());
+                false
+            } else {
+                true
+            }
+        });
+        drop(names);
+        // A lost stream must stop exporting: stale series would read as live.
+        if let Some(name) = &removed {
+            self.metrics.remove_stream(name);
+        }
+        if let (Some(d), Some(name)) = (&self.durability, purge) {
+            let _ = d.backend.remove_stream(&name);
+        }
+        false
     }
 }
 
@@ -1479,101 +1786,6 @@ impl Drop for Release {
     }
 }
 
-/// What [`heal_in_place`] left behind.
-enum HealOutcome {
-    /// The stream was rebuilt in place from its durable state.
-    Healed,
-    /// The stream is gone from this worker. `purge` carries the durable
-    /// name whose on-backend state must be deleted alongside the registry
-    /// entry — otherwise the "lost" stream would silently reappear at the
-    /// next restart while the running server reports it unknown.
-    Lost { purge: Option<String> },
-}
-
-/// Rebuilds a durable stream in place after its in-memory state was lost
-/// (worker panic, broken WAL writer). On [`HealOutcome::Lost`] the caller
-/// must finish the teardown with [`tear_down_lost_stream`].
-fn heal_in_place(
-    streams: &mut HashMap<u64, StreamState>,
-    stream: u64,
-    durability: &Option<DurabilityConfig>,
-    pool_size: usize,
-    metrics: &ServiceMetrics,
-) -> HealOutcome {
-    let Some(state) = streams.remove(&stream) else {
-        return HealOutcome::Lost { purge: None };
-    };
-    let stream_metrics = state.metrics;
-    let Some(durability) = durability else {
-        stream_metrics.event(TraceKind::StreamLost, 0, 0);
-        return HealOutcome::Lost { purge: None };
-    };
-    let Some(durable) = state.durable else {
-        stream_metrics.event(TraceKind::StreamLost, 0, 0);
-        return HealOutcome::Lost { purge: None };
-    };
-    // Recovery itself performs I/O, so it can hit the same transient
-    // faults (torn write, failed fsync) that triggered the heal. The
-    // durable snapshot + log are intact on the backend, so a bounded
-    // retry is the difference between a blip and losing a recoverable
-    // stream; only a persistent failure tears the stream down.
-    for _ in 0..HEAL_ATTEMPTS {
-        match recover_stream(
-            &durability.backend,
-            &durable.name,
-            durability.fsync,
-            pool_size,
-            metrics,
-            0,
-        ) {
-            Ok(recovered) => {
-                let recoveries = recovered.durable.as_ref().map_or(0, |d| d.counters.recoveries);
-                recovered.metrics.event(TraceKind::StreamHealed, 0, recoveries);
-                streams.insert(stream, recovered);
-                return HealOutcome::Healed;
-            }
-            Err(_) => continue,
-        }
-    }
-    stream_metrics.event(TraceKind::StreamLost, 0, 0);
-    HealOutcome::Lost { purge: Some(durable.name) }
-}
-
-/// Finishes tearing down a stream [`heal_in_place`] declared lost: free
-/// its name in the registry (so create works again, instead of wedging
-/// behind a ready entry that can neither answer nor be replaced) and
-/// best-effort delete its durable state, so the runtime view ("unknown
-/// stream") and the post-restart view agree. The purge is best-effort by
-/// design: if it fails, the worst case is the stream *resurrecting* at
-/// the next restart from its last consistent snapshot+log — stale, but
-/// never corrupt.
-fn tear_down_lost_stream(
-    registry: &Registry,
-    stream: u64,
-    durability: &Option<DurabilityConfig>,
-    purge: Option<String>,
-    metrics: &ServiceMetrics,
-) {
-    let mut removed = None;
-    let mut names = registry.streams.lock().expect("registry lock poisoned");
-    names.retain(|name, entry| {
-        if entry.id == stream {
-            removed = Some(name.clone());
-            false
-        } else {
-            true
-        }
-    });
-    drop(names);
-    // A lost stream must stop exporting: stale series would read as live.
-    if let Some(name) = &removed {
-        metrics.remove_stream(name);
-    }
-    if let (Some(durability), Some(name)) = (durability, purge) {
-        let _ = durability.backend.remove_stream(&name);
-    }
-}
-
 /// In-place recovery attempts before a durable stream is given up on.
 const HEAL_ATTEMPTS: usize = 5;
 
@@ -1627,349 +1839,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
         .copied()
         .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("non-string panic payload")
-}
-
-/// Appends `op` to the stream's WAL (when durable) **before** it is
-/// applied. `Ok` means the op is durable locally to the policy's promise
-/// and may be applied; it carries the replica acks still outstanding,
-/// which the op's reply must wait out. `Err` carries the reply to send
-/// instead — the op was not applied, and a broken writer has already sent
-/// the stream through in-place recovery (or torn it down).
-#[allow(clippy::too_many_arguments)]
-fn wal_before_apply(
-    streams: &mut HashMap<u64, StreamState>,
-    stream: u64,
-    op: WalOpRef<'_>,
-    registry: &Registry,
-    durability: &Option<DurabilityConfig>,
-    pool_size: usize,
-    metrics: &ServiceMetrics,
-    sink: &SinkCell,
-) -> Result<Option<Box<dyn PendingAcks>>, Response> {
-    let Some(state) = streams.get_mut(&stream) else {
-        return Err(unknown_stream());
-    };
-    let Some(durable) = state.durable.as_mut() else {
-        return Ok(None); // non-durable server: nothing to log
-    };
-    // Injected worker panic: scheduled *before* the WAL append, so a
-    // panicked op is never logged, never applied, never acknowledged.
-    if let Some(plan) = durability.as_ref().and_then(|d| d.fault_plan.as_ref()) {
-        if plan.worker_panics() {
-            panic!("injected worker panic");
-        }
-    }
-    // Encode once; ship and append the same bytes. The worker owns the
-    // stream exclusively, so the sink sees a frozen WAL — an attach or
-    // catch-up it performs inside `ship` cannot race new appends — and
-    // the local append runs inside `ship`, after the sends to the
-    // replicas (see [`ReplicationSink`]).
-    let DurableStream { name, wal, record, .. } = durable;
-    record.clear();
-    encode_record(record, op);
-    let (generation, seq) = (wal.generation(), wal.next_seq());
-    let mut appended = None;
-    // Idempotent: the first call appends, repeats report its outcome.
-    let mut local = || appended.get_or_insert_with(|| wal.append_record(record)).is_ok();
-    let shipper = sink.lock().expect("replication sink lock poisoned").clone();
-    let acks = shipper.and_then(|shipper| shipper.ship(name, generation, seq, record, &mut local));
-    // The append itself when no sink is installed (or a sink skipped it).
-    local();
-    match appended.expect("local append ran") {
-        Ok(()) => Ok(acks),
-        Err(err) => {
-            let broken = durable.wal.is_broken();
-            let message = if broken {
-                match heal_in_place(streams, stream, durability, pool_size, metrics) {
-                    HealOutcome::Healed => {
-                        format!("op not applied ({err}); stream recovered in place")
-                    }
-                    HealOutcome::Lost { purge } => {
-                        tear_down_lost_stream(registry, stream, durability, purge, metrics);
-                        format!("op not applied ({err}); stream lost: recovery failed")
-                    }
-                }
-            } else {
-                format!("op not applied ({err}); log repaired in place")
-            };
-            Err(Response::Error { code: ErrorCode::Durability, message })
-        }
-    }
-}
-
-/// Installs a freshly created/restored sampler under `stream`, making it
-/// durable first on a durable server. The failure handling depends on how
-/// far durability got ([`CreateDurableError`]) and on whether the slot was
-/// fresh or an existing stream being replaced (Restore's rewind
-/// semantics):
-///
-/// - **fresh + any failure** — the client is told the create failed, so
-///   nothing may survive it: best-effort delete whatever durable state
-///   the attempt left behind (the worker rolls the registry reservation
-///   back when it settles it). Without the purge, the next restart would
-///   resurrect a stream that was never acknowledged.
-/// - **replace + `Clean`** — the old incarnation's durable state and
-///   in-memory stream are both untouched; report the failure and keep
-///   serving the old stream.
-/// - **replace + `Committed`** — durable truth already moved to the new
-///   incarnation (its snapshot is the commit point), so the old in-memory
-///   state must not keep serving. Recover in place: the generation check
-///   discards the old incarnation's log, so a successful heal lands on
-///   exactly the state the client asked to install — answered `Ok`,
-///   honestly. A failed heal loses the stream (name freed, durable state
-///   purged).
-#[allow(clippy::too_many_arguments)]
-fn install_stream(
-    streams: &mut HashMap<u64, StreamState>,
-    pool_size: usize,
-    worker: usize,
-    stream: u64,
-    name: &str,
-    sampler: ServiceSampler,
-    registry: &Registry,
-    durability: &Option<DurabilityConfig>,
-    metrics: &ServiceMetrics,
-    verb: &str,
-) -> Response {
-    // Registration (or re-acquisition for a replaced stream) happens here,
-    // once — the hot path only bumps the returned handles. Failure paths
-    // below leave the series untouched; a fresh create's rollback removes
-    // them with the registry reservation.
-    let stream_metrics = metrics.stream(name);
-    let trace_kind =
-        if verb == "created" { TraceKind::StreamCreated } else { TraceKind::StreamRestored };
-    let Some(d) = durability else {
-        let stats = PipelineStats { shards: pool_size, ..PipelineStats::default() };
-        stream_metrics.sync_pipeline(&stats);
-        stream_metrics.event(trace_kind, worker as u64, 0);
-        streams
-            .insert(stream, StreamState { sampler, stats, durable: None, metrics: stream_metrics });
-        return Response::Ok;
-    };
-    let fresh = !streams.contains_key(&stream);
-    let (err, committed) = match create_durable_stream(&d.backend, name, &sampler, d.fsync) {
-        Ok(mut durable) => {
-            let stats = PipelineStats { shards: pool_size, ..PipelineStats::default() };
-            durable.wal.set_metrics(stream_metrics.wal_metrics(metrics));
-            stream_metrics.sync_pipeline(&stats);
-            stream_metrics.sync_durability(&durable.current_stats());
-            stream_metrics.event(trace_kind, worker as u64, 0);
-            streams.insert(
-                stream,
-                StreamState { sampler, stats, durable: Some(durable), metrics: stream_metrics },
-            );
-            return Response::Ok;
-        }
-        Err(CreateDurableError::Clean(err)) => (err, false),
-        Err(CreateDurableError::Committed(err)) => (err, true),
-    };
-    let message = format!("stream not {verb}: {err}");
-    if fresh {
-        let _ = d.backend.remove_stream(name);
-        return Response::Error { code: ErrorCode::Durability, message };
-    }
-    if !committed {
-        return Response::Error { code: ErrorCode::Durability, message };
-    }
-    match heal_in_place(streams, stream, durability, pool_size, metrics) {
-        HealOutcome::Healed => Response::Ok,
-        HealOutcome::Lost { purge } => {
-            tear_down_lost_stream(registry, stream, durability, purge, metrics);
-            Response::Error {
-                code: ErrorCode::Durability,
-                message: format!("{message}; stream lost: recovery failed"),
-            }
-        }
-    }
-}
-
-/// Runs one routed job against the worker's stream table. Batch buffers
-/// arriving in `op` are recycled into `pool` once consumed; Feed replies
-/// take their outputs buffer from the pool (the connection returns
-/// it after encoding). On a durable server, mutating ops are write-ahead
-/// logged before they touch the sampler, and the log is compacted when it
-/// crosses the configured size. Returns the reply and, on a replicated
-/// stream, the replica acks it must wait for.
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    streams: &mut HashMap<u64, StreamState>,
-    pool: &BufferPool,
-    pool_size: usize,
-    worker: usize,
-    stream: u64,
-    op: StreamOp,
-    registry: &Registry,
-    durability: &Option<DurabilityConfig>,
-    metrics: &ServiceMetrics,
-    sink: &SinkCell,
-) -> (Response, Option<Box<dyn PendingAcks>>) {
-    let logged = match &op {
-        StreamOp::Ingest(ids) => WalOpRef::Ingest(ids),
-        StreamOp::Feed(ids) => WalOpRef::Feed(ids),
-        StreamOp::Sample => WalOpRef::Sample,
-        _ => {
-            let response = execute_unlogged(
-                streams, pool_size, worker, stream, op, registry, durability, metrics,
-            );
-            return (response, None);
-        }
-    };
-    let acks = match wal_before_apply(
-        streams, stream, logged, registry, durability, pool_size, metrics, sink,
-    ) {
-        Ok(acks) => acks,
-        Err(reply) => {
-            if let StreamOp::Ingest(ids) | StreamOp::Feed(ids) = op {
-                pool.put(ids);
-            }
-            return (reply, None);
-        }
-    };
-    let state = streams.get_mut(&stream).expect("checked by wal_before_apply");
-    let response = match op {
-        StreamOp::Ingest(ids) => {
-            let admitted = state.sampler.ingest_batch(&ids);
-            state.stats.elements += ids.len() as u64;
-            state.stats.admitted += admitted;
-            state.stats.chunks += 1;
-            state.metrics.pipeline.elements.add(ids.len() as u64);
-            state.metrics.pipeline.admitted.add(admitted);
-            state.metrics.pipeline.batches.inc();
-            state.metrics.observe_floor(state.stats.elements, state.sampler.floor_estimate());
-            pool.put(ids);
-            Response::Ingested { position: state.stats.elements, admitted }
-        }
-        StreamOp::Feed(ids) => {
-            let mut outputs = pool.take();
-            let admitted = state.sampler.feed_batch(&ids, &mut outputs);
-            state.stats.elements += ids.len() as u64;
-            state.stats.admitted += admitted;
-            state.stats.outputs += ids.len() as u64;
-            state.stats.chunks += 1;
-            state.metrics.pipeline.elements.add(ids.len() as u64);
-            state.metrics.pipeline.admitted.add(admitted);
-            state.metrics.pipeline.outputs.add(ids.len() as u64);
-            state.metrics.pipeline.batches.inc();
-            state.metrics.observe_floor(state.stats.elements, state.sampler.floor_estimate());
-            pool.put(ids);
-            Response::Fed { position: state.stats.elements, admitted, outputs }
-        }
-        StreamOp::Sample => Response::Sampled(state.sampler.sample()),
-        _ => unreachable!("only logged ops get here"),
-    };
-    if let Some(d) = durability {
-        maybe_compact(state, d.compact_bytes, &d.backend);
-    }
-    (response, acks)
-}
-
-/// [`execute_job`] for the ops that write no log record: creation,
-/// promotion, demotion and the reads.
-#[allow(clippy::too_many_arguments)]
-fn execute_unlogged(
-    streams: &mut HashMap<u64, StreamState>,
-    pool_size: usize,
-    worker: usize,
-    stream: u64,
-    op: StreamOp,
-    registry: &Registry,
-    durability: &Option<DurabilityConfig>,
-    metrics: &ServiceMetrics,
-) -> Response {
-    match op {
-        StreamOp::Create(name, config) => match ServiceSampler::create(&config) {
-            Ok(sampler) => install_stream(
-                streams, pool_size, worker, stream, &name, sampler, registry, durability, metrics,
-                "created",
-            ),
-            Err(err) => error_response(&err),
-        },
-        StreamOp::Restore(name, blob) => match ServiceSampler::restore(&blob) {
-            Ok(sampler) => install_stream(
-                streams, pool_size, worker, stream, &name, sampler, registry, durability, metrics,
-                "restored",
-            ),
-            Err(err) => error_response(&err),
-        },
-        StreamOp::Adopt(name) => {
-            let Some(d) = durability else {
-                return Response::Error {
-                    code: ErrorCode::InvalidConfig,
-                    message: "promotion requires a durable server".into(),
-                };
-            };
-            // Rebuild from the replicated durable state with the
-            // incarnation generation bumped, so anything the previous
-            // incarnation left behind (a stale shipment, an old primary's
-            // log) fails the generation check instead of replaying onto
-            // the promoted stream.
-            match recover_stream(&d.backend, &name, d.fsync, pool_size, metrics, 1) {
-                Ok(state) => {
-                    let generation =
-                        state.durable.as_ref().map_or(0, |durable| durable.wal.generation());
-                    state.metrics.event(TraceKind::Promote, worker as u64, generation);
-                    metrics.stream_replication(&name).failovers.inc();
-                    streams.insert(stream, state);
-                    Response::Ok
-                }
-                Err(err) => Response::Error {
-                    code: ErrorCode::Durability,
-                    message: format!("stream not adopted: {err}"),
-                },
-            }
-        }
-        StreamOp::Demote => match streams.remove(&stream) {
-            Some(mut state) => {
-                // Flush the WAL so the durable state is complete to the
-                // policy's promise, then drop: the writer closes, the
-                // on-backend files stay for whoever takes the stream over
-                // (a replica applier, or a later re-adoption).
-                if let Some(durable) = state.durable.as_mut() {
-                    let _ = durable.wal.sync();
-                }
-                state.metrics.event(TraceKind::Demote, worker as u64, 0);
-                Response::Ok
-            }
-            None => unknown_stream(),
-        },
-        StreamOp::Floor => match streams.get(&stream) {
-            Some(state) => {
-                let floor = state.sampler.floor_estimate();
-                state.metrics.floor.set_u64(floor);
-                Response::Value(floor)
-            }
-            None => unknown_stream(),
-        },
-        StreamOp::Snapshot => match streams.get(&stream) {
-            Some(state) => {
-                let mut blob = Vec::new();
-                state.sampler.snapshot(&mut blob);
-                Response::Snapshot(blob)
-            }
-            None => unknown_stream(),
-        },
-        StreamOp::Stats => match streams.get(&stream) {
-            Some(state) => Response::Stats(StreamStats {
-                pipeline: state.stats,
-                busy_rejections: 0, // folded in as the reply leaves
-                durability: state
-                    .durable
-                    .as_ref()
-                    .map(DurableStream::current_stats)
-                    .unwrap_or_default(),
-                // Folded in as the reply leaves, from the stream's
-                // registered atomics, like busy_rejections.
-                replication: ReplicationStats::default(),
-            }),
-            None => unknown_stream(),
-        },
-        StreamOp::Ingest(_) | StreamOp::Feed(_) | StreamOp::Sample => {
-            unreachable!("logged ops run in execute_job")
-        }
-        StreamOp::Replicate(_) => unreachable!("shipments run on the replica applier"),
-        #[cfg(test)]
-        StreamOp::Panic => panic!("test-injected worker panic"),
-    }
 }
 
 /// The replica applier's loop: applies shipments in arrival order (so one
@@ -2745,11 +2614,13 @@ mod tests {
         snap.encode(&mut bytes);
         backend.write_snapshot("s", &bytes).unwrap();
         let metrics = ServiceMetrics::new(1);
-        let state = recover_stream(&backend, "s", FsyncPolicy::PerOp, 1, &metrics, 0).unwrap();
-        let counters = &state.durable.as_ref().unwrap().counters;
-        assert_eq!(counters.recoveries, 1);
-        assert_eq!(counters.wal_records, 3, "the replayed record joins the lifetime count");
-        assert_eq!(counters.wal_bytes, 3 * record, "skipped records were double-counted");
+        let series = metrics.stream("s");
+        let state =
+            recover_stream(&backend, "s", FsyncPolicy::PerOp, 1, &metrics, series, 0).unwrap();
+        let series = &state.metrics;
+        assert_eq!(series.recoveries.get(), 1);
+        assert_eq!(series.wal_records.get(), 3, "the replayed record joins the lifetime count");
+        assert_eq!(series.wal_bytes.get(), 3 * record, "skipped records were double-counted");
     }
 
     #[test]
@@ -2862,5 +2733,53 @@ mod tests {
         server.adopt_stream("d").unwrap();
         let ack = client.feed_batch("d", &ids).unwrap();
         assert_eq!(ack.position, 128, "the adopted stream resumed the demoted position");
+    }
+
+    #[test]
+    fn a_name_created_while_its_demoted_stream_drains_starts_from_zero() {
+        let server = Server::start(ServerConfig { workers: 2, queue_depth: 8 });
+        let mut client = ServiceClient::new(server.connect_in_process()).unwrap();
+        client.create_stream("s", &test_config()).unwrap();
+        let (worker, id) = {
+            let streams = server.router.registry.streams.lock().unwrap();
+            let entry = streams.get("s").unwrap();
+            (entry.worker, entry.id)
+        };
+        assert_eq!(worker, 0, "round-robin placement: the next create lands on worker 1");
+        let job = |op, reply| Job { stream: id, op, reply, reservation: None, stats: None };
+        // Park the old worker on a rendezvous reply, then queue two feeds
+        // behind it: they are still queued when the demote frees the name.
+        let (park_tx, park_rx) = mpsc::sync_channel(0);
+        server.router.senders[worker]
+            .send(job(StreamOp::Sample, ReplyTo::Channel(park_tx)))
+            .unwrap();
+        let ids: Vec<NodeId> = (0..64u64).map(NodeId::new).collect();
+        let mut fed = Vec::new();
+        for _ in 0..2 {
+            let (tx, rx) = mpsc::sync_channel(1);
+            server.router.senders[worker]
+                .send(job(StreamOp::Feed(ids.clone()), ReplyTo::Channel(tx)))
+                .unwrap();
+            fed.push(rx);
+        }
+        std::thread::scope(|scope| {
+            let demote = scope.spawn(|| server.demote_stream("s"));
+            while server.stream_names().contains(&"s".to_string()) {
+                std::thread::yield_now();
+            }
+            // The new incarnation lands on the other worker while the old
+            // one still holds its queued feeds.
+            client.create_stream("s", &test_config()).unwrap();
+            park_rx.recv().unwrap();
+            for rx in fed {
+                assert!(matches!(rx.recv().unwrap(), Response::Fed { .. }));
+            }
+            demote.join().unwrap().unwrap();
+        });
+        let ack = client.feed_batch("s", &ids).unwrap();
+        assert_eq!(ack.position, 64, "the drained feeds moved the new stream's position");
+        assert_eq!(client.stats("s").unwrap().pipeline.elements, 64);
+        let text = client.metrics().unwrap();
+        assert!(text.contains("uns_stream_elements_total{stream=\"s\"} 64\n"), "{text}");
     }
 }

@@ -199,6 +199,16 @@ pub enum WalOpRef<'a> {
     Sample,
 }
 
+impl<'a> From<&'a WalOp> for WalOpRef<'a> {
+    fn from(op: &'a WalOp) -> Self {
+        match op {
+            WalOp::Ingest(ids) => WalOpRef::Ingest(ids),
+            WalOp::Feed(ids) => WalOpRef::Feed(ids),
+            WalOp::Sample => WalOpRef::Sample,
+        }
+    }
+}
+
 /// Appends one framed record (`[len][crc32][opcode][payload]`) to `out`.
 pub fn encode_record(out: &mut Vec<u8>, op: WalOpRef<'_>) {
     let body_start = out.len() + 8; // after [len][crc]
@@ -376,8 +386,8 @@ pub fn parse_wal(bytes: &[u8]) -> ParsedWal {
 
 /// Registry handles a [`WalWriter`] feeds on its own append/fsync path
 /// when installed via [`WalWriter::set_metrics`]. The byte/record counters
-/// are the stream's lifetime series: the writer bumps them per successful
-/// append so the exposition tracks `Stats` exactly between scrapes.
+/// are the stream's lifetime series and its only WAL counters: the writer
+/// bumps them per successful append, and `Stats` reads them.
 #[derive(Clone, Debug)]
 pub struct WalMetrics {
     /// Latency of one record append (excluding fsync).
@@ -391,8 +401,8 @@ pub struct WalMetrics {
 }
 
 /// Append side of one stream's log: frames records, enforces the fsync
-/// policy, repairs torn writes, and tracks the cumulative counters the
-/// `Stats` op reports.
+/// policy, repairs torn writes, and bumps the stream's WAL series
+/// ([`WalMetrics`]) when installed.
 ///
 /// # Torn-write repair
 ///
@@ -417,10 +427,6 @@ pub struct WalWriter {
     records_since_sync: u32,
     last_sync: Instant,
     scratch: Vec<u8>,
-    /// Records appended over this writer's lifetime (monotonic).
-    pub appended_records: u64,
-    /// Bytes appended over this writer's lifetime (monotonic).
-    pub appended_bytes: u64,
 }
 
 impl WalWriter {
@@ -453,8 +459,6 @@ impl WalWriter {
             records_since_sync: 0,
             last_sync: Instant::now(),
             scratch: Vec::new(),
-            appended_records: 0,
-            appended_bytes: 0,
         })
     }
 
@@ -486,8 +490,6 @@ impl WalWriter {
             records_since_sync: 0,
             last_sync: Instant::now(),
             scratch: Vec::new(),
-            appended_records: 0,
-            appended_bytes: 0,
         })
     }
 
@@ -521,8 +523,7 @@ impl WalWriter {
 
     /// Installs live metric handles: every successful append then bumps
     /// the byte/record counters and records append/fsync latency. The
-    /// caller seeds the counters to the stream's persisted totals first
-    /// (this writer's own `appended_*` start at zero after recovery).
+    /// caller seeds the counters to the stream's persisted totals.
     pub fn set_metrics(&mut self, metrics: WalMetrics) {
         self.metrics = Some(metrics);
     }
@@ -569,8 +570,6 @@ impl WalWriter {
         }
         self.len += record.len() as u64;
         self.next_seq += 1;
-        self.appended_records += 1;
-        self.appended_bytes += record.len() as u64;
         self.records_since_sync += 1;
         if let (Some(metrics), Some(started)) = (&self.metrics, started) {
             metrics.append_nanos.record_duration(started.elapsed());
@@ -945,7 +944,6 @@ mod tests {
         writer.append_op(WalOpRef::Sample).unwrap(); // second record: syncs
         writer.append_op(WalOpRef::Feed(&ids(4..6))).unwrap(); // unsynced again
         assert_eq!(writer.next_seq(), 3);
-        assert_eq!(writer.appended_records, 3);
         assert!(!writer.is_empty());
         backend.crash();
         let mut store = backend.open_wal("s").unwrap();

@@ -17,9 +17,13 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use uns_core::NodeId;
 use uns_service::protocol::{EstimatorKind, HashFamilyKind, StreamConfig};
-use uns_service::{Server, ServerConfig, ServiceClient, ServiceError, ServiceSampler};
+use uns_service::{
+    DurabilityConfig, MemBackend, Server, ServerConfig, ServiceClient, ServiceError, ServiceSampler,
+};
 
 /// One generated operation; batch contents derive from `seed` so cases
 /// shrink well (a failing sequence shrinks over op tags and lengths, not
@@ -77,6 +81,38 @@ fn retry_busy<T>(mut op: impl FnMut() -> Result<T, ServiceError>) -> T {
             other => return other.expect("service operation failed"),
         }
     }
+}
+
+/// Checks that every counter the wire `Stats` opcode reports for `name`
+/// equals the sample the exposition renders for it.
+fn stats_match_exposition(
+    client: &mut ServiceClient<UnixStream>,
+    name: &str,
+) -> Result<(), String> {
+    let stats = retry_busy(|| client.stats(name));
+    let exposition = client.metrics().expect("metrics scrape");
+    let samples = uns_metrics::parse_exposition(&exposition).expect("live exposition parses");
+    let labels = [("stream", name)];
+    for (family, want) in [
+        (uns_sim::metrics::METRIC_STREAM_ELEMENTS, stats.pipeline.elements),
+        (uns_sim::metrics::METRIC_STREAM_ADMITTED, stats.pipeline.admitted),
+        (uns_sim::metrics::METRIC_STREAM_OUTPUTS, stats.pipeline.outputs),
+        (uns_sim::metrics::METRIC_STREAM_BATCHES, stats.pipeline.chunks as u64),
+        (uns_sim::metrics::METRIC_STREAM_SHARDS, stats.pipeline.shards as u64),
+        (uns_service::metrics::METRIC_STREAM_BUSY, stats.busy_rejections),
+        (uns_service::metrics::METRIC_STREAM_WAL_BYTES, stats.durability.wal_bytes),
+        (uns_service::metrics::METRIC_STREAM_WAL_RECORDS, stats.durability.wal_records),
+        (uns_service::metrics::METRIC_STREAM_COMPACTIONS, stats.durability.snapshot_compactions),
+        (uns_service::metrics::METRIC_STREAM_RECOVERIES, stats.durability.recoveries),
+        (uns_service::metrics::METRIC_STREAM_REPLICA_LAG, stats.replication.lag_records),
+        (uns_service::metrics::METRIC_STREAM_REPLICATION_BYTES, stats.replication.shipped_bytes),
+        (uns_service::metrics::METRIC_STREAM_FAILOVERS, stats.replication.failovers),
+    ] {
+        let sample = uns_metrics::parse::find(&samples, family, &labels)
+            .unwrap_or_else(|| panic!("exposition lacks {family} for {name}"));
+        prop_assert_eq!(sample.value_u64(), Some(want), "{} drifted from the Stats opcode", family);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -182,11 +218,15 @@ proptest! {
     /// every counter the wire `Stats` opcode reports equals — bit for bit
     /// — the sample the Prometheus exposition renders for the same stream,
     /// because both read the same atomics once the connection quiesces.
+    /// On a durable server, a 512-byte compaction threshold makes the log
+    /// compact mid-sequence, and a restart over the same backend then
+    /// compares the recovered stream's series too.
     #[test]
     fn stats_opcode_and_metrics_exposition_agree_bit_for_bit(
         ops in prop_vec(op_strategy(), 1..24),
         kind_index in 0u8..3,
         stream_seed in any::<u64>(),
+        durable in any::<bool>(),
     ) {
         let config = StreamConfig {
             kind: kind_from(kind_index),
@@ -196,7 +236,20 @@ proptest! {
             seed: stream_seed,
             family: HashFamilyKind::Mersenne,
         };
-        let server = Server::start(ServerConfig { workers: 2, queue_depth: 8 });
+        let server_config = ServerConfig { workers: 2, queue_depth: 8 };
+        let backend = MemBackend::new();
+        let durability = DurabilityConfig {
+            compact_bytes: 512,
+            ..DurabilityConfig::new(Arc::new(backend.clone()))
+        };
+        let start = || {
+            if durable {
+                Server::start_durable(server_config, durability.clone()).unwrap()
+            } else {
+                Server::start(server_config)
+            }
+        };
+        let server = start();
         let mut client = ServiceClient::new(server.connect_in_process()).unwrap();
         let mut name = format!("diff-{stream_seed}-0");
         retry_busy(|| client.create_stream(&name, &config));
@@ -226,41 +279,13 @@ proptest! {
                 }
             }
         }
-
-        let stats = retry_busy(|| client.stats(&name));
-        let exposition = client.metrics().expect("metrics scrape");
-        let samples = uns_metrics::parse_exposition(&exposition)
-            .expect("live exposition parses");
-        let labels = [("stream", name.as_str())];
-        for (family, want) in [
-            (uns_sim::metrics::METRIC_STREAM_ELEMENTS, stats.pipeline.elements),
-            (uns_sim::metrics::METRIC_STREAM_ADMITTED, stats.pipeline.admitted),
-            (uns_sim::metrics::METRIC_STREAM_OUTPUTS, stats.pipeline.outputs),
-            (uns_sim::metrics::METRIC_STREAM_BATCHES, stats.pipeline.chunks as u64),
-            (uns_sim::metrics::METRIC_STREAM_SHARDS, stats.pipeline.shards as u64),
-            (uns_service::metrics::METRIC_STREAM_BUSY, stats.busy_rejections),
-            (uns_service::metrics::METRIC_STREAM_WAL_BYTES, stats.durability.wal_bytes),
-            (uns_service::metrics::METRIC_STREAM_WAL_RECORDS, stats.durability.wal_records),
-            (
-                uns_service::metrics::METRIC_STREAM_COMPACTIONS,
-                stats.durability.snapshot_compactions,
-            ),
-            (uns_service::metrics::METRIC_STREAM_RECOVERIES, stats.durability.recoveries),
-            (uns_service::metrics::METRIC_STREAM_REPLICA_LAG, stats.replication.lag_records),
-            (
-                uns_service::metrics::METRIC_STREAM_REPLICATION_BYTES,
-                stats.replication.shipped_bytes,
-            ),
-            (uns_service::metrics::METRIC_STREAM_FAILOVERS, stats.replication.failovers),
-        ] {
-            let sample = uns_metrics::parse::find(&samples, family, &labels)
-                .unwrap_or_else(|| panic!("exposition lacks {family} for {name}"));
-            prop_assert_eq!(
-                sample.value_u64(),
-                Some(want),
-                "{} drifted from the Stats opcode",
-                family
-            );
+        stats_match_exposition(&mut client, &name)?;
+        if durable {
+            drop(client);
+            drop(server);
+            let server = start();
+            let mut client = ServiceClient::new(server.connect_in_process()).unwrap();
+            stats_match_exposition(&mut client, &name)?;
         }
     }
 }

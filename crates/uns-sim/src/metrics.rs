@@ -52,8 +52,8 @@ impl PipelineStats {
 /// Registry handles for one stream's pipeline-accounting series, labeled
 /// `stream="…"`. The family names are this module's `METRIC_STREAM_*`
 /// constants; these handles are the one way pipeline accounting reaches
-/// an exposition.
-#[derive(Debug)]
+/// an exposition. A clone holds the same series.
+#[derive(Debug, Clone)]
 pub struct PipelineSeries {
     /// Stream elements processed ([`PipelineStats::elements`]).
     pub elements: Arc<Counter>,
@@ -109,6 +109,18 @@ impl PipelineSeries {
         self.outputs.set(stats.outputs);
         self.batches.set(stats.chunks as u64);
         self.shards.set_u64(stats.shards as u64);
+    }
+
+    /// Reads the series back as totals, the inverse of
+    /// [`PipelineSeries::set_to`]: exact whenever one thread writes them.
+    pub fn totals(&self) -> PipelineStats {
+        PipelineStats {
+            elements: self.elements.get(),
+            shards: usize::try_from(self.shards.get()).unwrap_or(0),
+            chunks: usize::try_from(self.batches.get()).unwrap_or(usize::MAX),
+            admitted: self.admitted.get(),
+            outputs: self.outputs.get(),
+        }
     }
 }
 
