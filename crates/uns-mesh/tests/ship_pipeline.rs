@@ -1,7 +1,9 @@
 //! Pipelined shipments: a replicated op's reply waits for the replica's
 //! ack on the worker's release thread, not on the worker. While one
 //! stream's ack is outstanding, the same worker serves other streams; a
-//! later reply on that stream queues behind the held one; a severed link
+//! later worker-bound reply on that stream queues behind the held one,
+//! while its floor estimate answers at once from the floor as of the last
+//! acked write; a severed link
 //! with records in flight costs no reply and re-attaches incrementally;
 //! and a `Demote` answers only once its stream holds nothing.
 
@@ -26,8 +28,8 @@ use uns_service::{ReactorConfig, ServiceClient};
 const BATCH_LEN: u64 = 64;
 /// The replica apply stall while an ack is held.
 const STALL: Duration = Duration::from_millis(200);
-/// A read on another stream of the same worker must answer within this,
-/// a quarter of [`STALL`].
+/// A read that needs no held ack (on another stream of the same worker,
+/// or a floor estimate) must answer within this, a quarter of [`STALL`].
 const UNBLOCKED: Duration = Duration::from_millis(50);
 /// Longer than the replicator's 250 ms re-attach backoff.
 const PAST_BACKOFF: Duration = Duration::from_millis(300);
@@ -188,15 +190,30 @@ fn replayed_snapshot(backend: &MemBackend, stream: &str) -> Vec<u8> {
     client.snapshot(stream).expect("replayed snapshot")
 }
 
-/// The snapshot of one uninterrupted node fed `batches` in order.
-fn reference_snapshot(stream: &str, batches: &[u64]) -> Vec<u8> {
+/// Runs `read` against one uninterrupted node whose `stream` was fed
+/// `batches` in order.
+fn read_reference<R>(
+    stream: &str,
+    batches: &[u64],
+    read: impl FnOnce(&mut ServiceClient<std::os::unix::net::UnixStream>) -> R,
+) -> R {
     let server = Server::start(ServerConfig::default());
     let mut client = ServiceClient::new(server.connect_in_process()).expect("client");
     client.create_stream(stream, &config()).expect("create");
     for &b in batches {
         client.feed_batch(stream, &batch_ids(b, BATCH_LEN)).expect("reference feed");
     }
-    client.snapshot(stream).expect("snapshot")
+    read(&mut client)
+}
+
+/// The snapshot of one uninterrupted node fed `batches` in order.
+fn reference_snapshot(stream: &str, batches: &[u64]) -> Vec<u8> {
+    read_reference(stream, batches, |client| client.snapshot(stream).expect("snapshot"))
+}
+
+/// The floor estimate of one uninterrupted node fed `batches` in order.
+fn reference_floor(stream: &str, batches: &[u64]) -> u64 {
+    read_reference(stream, batches, |client| client.floor_estimate(stream).expect("floor"))
 }
 
 #[test]
@@ -210,21 +227,36 @@ fn a_held_reply_leaves_the_worker_free_and_orders_its_stream() {
         writer.create_stream(y, &config()).expect("create y");
         writer.feed_batch(x, &batch_ids(0, BATCH_LEN)).expect("attaching feed");
         assert_eq!(pair.handler.position(x), Some(1));
+        // The held feed repeats batch 0: it doubles every counter batch 0
+        // touched, so it doubles the floor (the least nonzero counter).
+        let (floor_before, floor_after) = (reference_floor(x, &[0]), reference_floor(x, &[0, 0]));
+        assert!(
+            floor_before > 0 && floor_after == 2 * floor_before,
+            "the held feed must move the floor: {floor_before} -> {floor_after}"
+        );
 
         pair.handler.arm(STALL);
         let seen = pair.handler.stalls.load(Ordering::Relaxed);
         std::thread::scope(|scope| {
-            let feed = scope.spawn(move || writer.feed_batch(x, &batch_ids(1, BATCH_LEN)));
+            let feed = scope.spawn(move || writer.feed_batch(x, &batch_ids(0, BATCH_LEN)));
             pair.handler.wait_for_stall_after(seen);
 
             // (a) The worker is free while x's ack is outstanding.
             let started = Instant::now();
-            reader.floor_estimate(y).expect("floor on the other stream");
-            let floor = started.elapsed();
+            reader.stats(y).expect("stats on the other stream");
+            let read = started.elapsed();
             assert!(
-                floor < UNBLOCKED,
-                "a read on another stream took {floor:?} behind a {STALL:?} replica ack"
+                read < UNBLOCKED,
+                "a read on another stream took {read:?} behind a {STALL:?} replica ack"
             );
+
+            // A floor estimate on x neither waits for the held feed nor
+            // reports it: it answers with the floor from before the feed.
+            let started = Instant::now();
+            let floor = reader.floor_estimate(x).expect("floor on the held stream");
+            let read = started.elapsed();
+            assert!(read < UNBLOCKED, "a floor estimate took {read:?} behind a held write");
+            assert_eq!(floor, floor_before, "the floor reported a write that is not yet acked");
 
             // (b) A read on x queues behind x's held feed reply.
             assert_eq!(pair.handler.position(x), Some(1), "the feed's ack is still outstanding");
@@ -238,6 +270,8 @@ fn a_held_reply_leaves_the_worker_free_and_orders_its_stream() {
             assert_eq!(fed.position, 2 * BATCH_LEN);
             assert_eq!(stats.pipeline.elements, fed.position, "stats missed the earlier feed");
             assert_eq!(stats.replication.lag_records, 0, "the feed's ack is in");
+            let floor = reader.floor_estimate(x).expect("floor after the ack");
+            assert_eq!(floor, floor_after, "the acked feed's floor was not published");
         });
         pair.handler.arm(Duration::ZERO);
         let text = pair.primary.metrics().render();

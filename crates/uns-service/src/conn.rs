@@ -150,11 +150,15 @@ impl Conn {
     /// ([`Conn::wants_read`]). The offer grows with the frame being read
     /// (up to [`READ_PAUSE_BYTES`] per read), so a large frame takes few
     /// reads, while a length prefix alone never allocates what it claims.
-    /// Report the read's outcome to [`Conn::received`].
+    /// The consumed prefix is dropped first, also while a request is in
+    /// flight, so frames that arrive before their predecessor's reply
+    /// reuse the buffer instead of growing it. Report the read's outcome
+    /// to [`Conn::received`].
     pub(crate) fn read_space(&mut self) -> Option<&mut [u8]> {
         if !self.wants_read() {
             return None;
         }
+        self.compact();
         let offer = self.frame_remainder().clamp(READ_CHUNK, READ_PAUSE_BYTES);
         let want = self.read_end + offer;
         if self.read_buf.len() < want {
@@ -201,7 +205,6 @@ impl Conn {
             }
             let unparsed = &self.read_buf[self.read_pos..self.read_end];
             if unparsed.len() < 4 {
-                self.compact();
                 return None;
             }
             let body_len =
@@ -213,7 +216,6 @@ impl Conn {
                 return None;
             }
             if unparsed.len() < 4 + body_len {
-                self.compact();
                 return None;
             }
             let body = self.read_pos + 4..self.read_pos + 4 + body_len;
@@ -495,8 +497,9 @@ mod tests {
     enum Frame {
         /// FeedBatch on the live stream: a worker op.
         Feed(Vec<NodeId>),
-        /// FloorEstimate on the live stream: a worker op.
-        Floor,
+        /// Snapshot of the live stream: a worker op whose reply is the
+        /// whole sampler state.
+        Snapshot,
         /// Sample on an unknown stream: answered without a worker.
         Unknown,
         /// An undecodable body: answered once, then the stream closes.
@@ -512,7 +515,7 @@ mod tests {
                     let len = rng.gen_range(0..300usize);
                     Frame::Feed((0..len).map(|_| NodeId::new(rng.gen_range(0..64u64))).collect())
                 }
-                50..=71 => Frame::Floor,
+                50..=71 => Frame::Snapshot,
                 72..=89 => Frame::Unknown,
                 90..=94 => Frame::Garbage,
                 _ => Frame::Oversized,
@@ -524,7 +527,7 @@ mod tests {
             let mut body = Vec::new();
             match self {
                 Frame::Feed(ids) => Request::encode_batch(&mut body, true, "s", ids),
-                Frame::Floor => Request::FloorEstimate { name: "s" }.encode(&mut body),
+                Frame::Snapshot => Request::Snapshot { name: "s" }.encode(&mut body),
                 Frame::Unknown => Request::Sample { name: "nope" }.encode(&mut body),
                 Frame::Garbage => body.extend_from_slice(&[0xFF, 0x01]),
                 Frame::Oversized => {
@@ -575,7 +578,11 @@ mod tests {
                     position += ids.len() as u64;
                     Response::Fed { position, admitted, outputs: outputs.clone() }
                 }
-                Frame::Floor => Response::Value(reference.floor_estimate()),
+                Frame::Snapshot => {
+                    let mut blob = Vec::new();
+                    reference.snapshot(&mut blob);
+                    Response::Snapshot(blob)
+                }
                 Frame::Unknown => Response::Error {
                     code: ErrorCode::UnknownStream,
                     message: format!("unknown stream {:?}", "nope"),
@@ -737,6 +744,48 @@ mod tests {
 
         fn set_read_timeout(&self, _: Option<std::time::Duration>) -> io::Result<()> {
             Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_read_while_a_request_is_in_flight_reuse_the_read_buffer() {
+        // Each round reads the next request while the one before it is in
+        // flight, then completes it with nothing left to send (its reply
+        // was written directly): the buffer must start over at offset 0
+        // instead of growing by a frame per round.
+        let server = Server::start(ServerConfig { workers: 1, queue_depth: 4 });
+        let mut client = ServiceClient::new(server.connect_in_process()).expect("connect");
+        client.create_stream("s", &stream_config()).expect("create");
+        let router = &*server.router;
+        let now = Instant::now();
+        let ids: Vec<NodeId> = (0..128u64).map(NodeId::new).collect();
+        let mut frame = Vec::new();
+        Frame::Feed(ids).encode(&mut frame);
+        let mut conn = Conn::new(usize::MAX, None);
+        let deliver = |conn: &mut Conn| {
+            let mut sent = 0;
+            while sent < frame.len() {
+                let space = conn.read_space().expect("reads stay open");
+                let n = space.len().min(frame.len() - sent);
+                space[..n].copy_from_slice(&frame[sent..sent + n]);
+                sent += n;
+                conn.received(Ok(n));
+            }
+        };
+        deliver(&mut conn);
+        let mut inflight = conn.advance(router, now).expect("a worker-bound feed");
+        let bound = 2 * frame.len() + READ_CHUNK;
+        for round in 0..100 {
+            deliver(&mut conn);
+            assert!(conn.advance(router, now).is_none(), "one request in flight at a time");
+            drop(inflight);
+            inflight = conn.complete(&[], router, now).expect("the next feed dispatches");
+            assert!(
+                conn.capacity() <= bound,
+                "round {round}: {} buffered bytes, bound {bound} ({}-byte frames)",
+                conn.capacity(),
+                frame.len()
+            );
         }
     }
 

@@ -30,7 +30,7 @@ pub const METRIC_STREAM_WAL_RECORDS: &str = "uns_stream_wal_records_total";
 pub const METRIC_STREAM_COMPACTIONS: &str = "uns_stream_wal_compactions_total";
 /// Exposition family name for per-stream lifetime recoveries.
 pub const METRIC_STREAM_RECOVERIES: &str = "uns_stream_recoveries_total";
-/// Exposition family name for the last published floor estimate.
+/// Exposition family name for the floor as of a stream's last answered write.
 pub const METRIC_STREAM_FLOOR: &str = "uns_stream_floor";
 /// Exposition family name for the floor-trajectory window minimum.
 pub const METRIC_STREAM_FLOOR_WINDOW_MIN: &str = "uns_stream_floor_window_min";
@@ -75,15 +75,16 @@ const TRACE_CAPACITY: usize = 1024;
 
 /// Wire-op labels for the per-op latency histogram, indexed by
 /// [`op_label_index`]'s return value.
-const OP_LABELS: [&str; 8] =
-    ["create", "restore", "ingest", "feed", "sample", "floor", "snapshot", "stats"];
+/// `FloorEstimate` has none: routing answers it without a worker.
+const OP_LABELS: [&str; 7] = ["create", "restore", "ingest", "feed", "sample", "snapshot", "stats"];
 
 const HELP_BUSY: &str = "Batches rejected with Busy because the stream's queue was full.";
 const HELP_WAL_BYTES: &str = "Lifetime bytes appended to the stream's write-ahead log.";
 const HELP_WAL_RECORDS: &str = "Lifetime records appended to the stream's write-ahead log.";
 const HELP_COMPACTIONS: &str = "Checkpoint compactions (snapshot persisted, log reset).";
 const HELP_RECOVERIES: &str = "Times the stream was rebuilt from durable state.";
-const HELP_FLOOR: &str = "Most recently observed sampler floor estimate.";
+const HELP_FLOOR: &str = "Sampler floor estimate as of the stream's last answered write or \
+     install; FloorEstimate replies read it.";
 const HELP_FLOOR_WINDOW_MIN: &str =
     "Minimum floor estimate over the last floor-trajectory window of batches.";
 const HELP_REPLICA_LAG: &str = "Records sent to the stream's replicas whose acks are still \
@@ -204,7 +205,7 @@ impl ServiceMetrics {
             name: Arc::from(stream),
             trace: Arc::clone(&self.trace),
             pipeline: PipelineSeries::register(&self.registry, stream),
-            floor: self.registry.gauge(METRIC_STREAM_FLOOR, HELP_FLOOR, &labels),
+            floor: self.stream_floor(stream),
             floor_window_min: self.registry.gauge(
                 METRIC_STREAM_FLOOR_WINDOW_MIN,
                 HELP_FLOOR_WINDOW_MIN,
@@ -225,6 +226,13 @@ impl ServiceMetrics {
             window_min: u64::MAX,
             window_len: 0,
         }
+    }
+
+    /// The floor gauge of `stream`: routing answers `FloorEstimate` from
+    /// it, and the owning worker's [`StreamMetrics::floor`] is the same
+    /// atomic.
+    pub(crate) fn stream_floor(&self, stream: &str) -> Arc<Gauge> {
+        self.registry.gauge(METRIC_STREAM_FLOOR, HELP_FLOOR, &[("stream", stream)])
     }
 
     /// The replication handle bundle for `stream` — registered from the
@@ -350,7 +358,9 @@ pub(crate) struct StreamMetrics {
     /// Pipeline accounting series (elements/admitted/outputs/batches/shards);
     /// `elements` is the stream position replies carry.
     pub pipeline: PipelineSeries,
-    /// Last published floor estimate.
+    /// The floor as of the stream's last answered write or install,
+    /// stored as that reply leaves; routing answers `FloorEstimate` from
+    /// it.
     pub floor: Arc<Gauge>,
     floor_window_min: Arc<Gauge>,
     /// WAL byte total, bumped by the WAL writer via [`WalMetrics`].
@@ -396,13 +406,13 @@ impl StreamMetrics {
         }
     }
 
-    /// Records one floor observation after a mutating batch: updates the
-    /// floor gauge every time and, once per [`FLOOR_WINDOW_BATCHES`],
-    /// publishes the window minimum to the gauge and the trace ring.
-    /// `position` is the stream position in elements.
+    /// Records one floor observation after a mutating batch: once per
+    /// [`FLOOR_WINDOW_BATCHES`], publishes the window minimum to its gauge
+    /// and the trace ring. `position` is the stream position in elements.
+    /// The `floor` gauge is not touched here: a write's reply publishes it
+    /// as it leaves.
     #[inline]
     pub fn observe_floor(&mut self, position: u64, floor: u64) {
-        self.floor.set_u64(floor);
         self.window_min = self.window_min.min(floor);
         self.window_len += 1;
         if self.window_len >= FLOOR_WINDOW_BATCHES {

@@ -11,9 +11,10 @@
 //! in-process socket pairs run — and hands complete requests to the worker
 //! pool through the bounded queues.
 //! Nothing it runs waits on a worker or a disk: creation and restore are
-//! worker jobs like any other, replica shipments are jobs on the replica
-//! applier, and only the CPU-only `Metrics` render is answered on the
-//! reactor thread.
+//! worker jobs like any other, and replica shipments are jobs on the
+//! replica applier. Two requests are answered at routing, on the reactor
+//! thread: the CPU-only `Metrics` render, and `FloorEstimate`, one atomic
+//! load of the floor that the stream's last answered write published.
 //!
 //! Replies leave from the thread that computed them (run to completion,
 //! as in IX, Belay et al., OSDI 2014). When a connection has no reply

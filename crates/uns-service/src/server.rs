@@ -50,9 +50,11 @@
 //! other reply itself, except that a reply on a stream with replies still
 //! held queues behind them: each stream keeps its reply order, and no
 //! read is answered before an earlier write to its stream is acked. A
-//! crash leaves the logs apart by at most the records sent but not yet
-//! acked — one per connection writing to the stream — which the clients'
-//! position resync resolves.
+//! `FloorEstimate` is answered at routing with the floor as of the
+//! stream's last answered write: it waits for no worker and reports no
+//! unacked write. A crash leaves the logs apart by at most the records
+//! sent but not yet acked — one per connection writing to the stream —
+//! which the clients' position resync resolves.
 //!
 //! Replica shipments queue for the **replica applier**, one thread of its
 //! own rather than a stream worker. If the peer applied shipments on a
@@ -98,7 +100,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uns_core::NodeId;
-use uns_metrics::{Counter, TraceKind};
+use uns_metrics::{Counter, Gauge, TraceKind};
 use uns_sim::PipelineStats;
 
 /// Server tuning knobs.
@@ -187,7 +189,6 @@ pub(crate) enum StreamOp {
     Ingest(Vec<NodeId>),
     Feed(Vec<NodeId>),
     Sample,
-    Floor,
     Snapshot,
     Stats,
     /// A replication shipment for a replica-held stream, applied through
@@ -258,6 +259,10 @@ pub(crate) struct StreamEntry {
     /// bytes, failovers) — same idiom as `busy`: the mesh replicator
     /// updates the registry atomics, the Stats fold reads them here.
     replication: ReplicationHandles,
+    /// The stream's registered `uns_stream_floor` gauge: the floor as of
+    /// its last answered write or install ([`Held::send`]), which routing
+    /// answers `FloorEstimate` from.
+    floor: Arc<Gauge>,
     /// `false` while the stream's Create/Restore/Adopt job is in flight.
     /// Other requests seeing a pending entry reply Busy instead of racing
     /// the creation, and the registry lock is not held meanwhile, so one
@@ -544,7 +549,7 @@ impl Server {
             let id = index as u64;
             let recoveries = state.metrics.recoveries.get();
             state.metrics.event(TraceKind::StreamRecovered, worker as u64, recoveries);
-            initial[worker].insert(id, state);
+            state.metrics.floor.set_u64(state.sampler.floor_estimate());
             registry_streams.insert(
                 name.clone(),
                 StreamEntry {
@@ -552,9 +557,11 @@ impl Server {
                     id,
                     busy: metrics.stream_busy(name),
                     replication: metrics.stream_replication(name),
+                    floor: Arc::clone(&state.metrics.floor),
                     ready: Arc::new(AtomicBool::new(true)),
                 },
             );
+            initial[worker].insert(id, state);
         }
         Ok(Self::start_inner(config, Some(durability), initial, registry_streams, metrics))
     }
@@ -1121,7 +1128,6 @@ fn recover_stream(
     // `recoveries`) must survive a further crash without waiting for a
     // size-triggered compaction.
     checkpoint(&mut state, backend, false);
-    state.metrics.floor.set_u64(state.sampler.floor_estimate());
     Ok(state)
 }
 
@@ -1304,7 +1310,7 @@ impl Worker {
     /// whose recovery fails — is removed from this worker AND from the name
     /// registry, so the name errors as unknown (not wedged behind a ready
     /// entry that can neither answer nor be re-created) and create works
-    /// again. Read-only ops (floor/snapshot/stats) cannot corrupt state, so
+    /// again. Read-only ops (snapshot/stats) cannot corrupt state, so
     /// their stream survives a panic intact.
     fn step(&mut self, job: Job) {
         self.metrics.queue_depth[self.index].dec();
@@ -1329,12 +1335,33 @@ impl Worker {
         if let Some(op_index) = op_index {
             self.metrics.record_op(op_index, started.elapsed());
         }
+        let floor = self.floor_to_publish(stream, &response);
         // A fresh name's reservation settles before anyone hears back:
         // ready on Ok, rolled back otherwise (panics included).
         if let Some(reservation) = reservation {
             reservation.settle(&response);
         }
-        self.release.reply(stream, Held { reply, response, acks, stats });
+        self.release.reply(stream, Held { reply, response, acks, stats, floor });
+    }
+
+    /// The floor a successful write or install publishes as its reply
+    /// leaves ([`Held::send`]): the stream's floor right after the op, with
+    /// the stream's `uns_stream_floor` gauge to store it in. A write also
+    /// feeds it to the floor-trajectory window here (live ops only: WAL
+    /// replay publishes no trajectory). A Demote's `Ok` finds no stream
+    /// and publishes nothing.
+    fn floor_to_publish(&mut self, stream: u64, response: &Response) -> Option<(Arc<Gauge>, u64)> {
+        let position = match response {
+            Response::Ingested { position, .. } | Response::Fed { position, .. } => Some(*position),
+            Response::Ok => None,
+            _ => return None,
+        };
+        let state = self.streams.get_mut(&stream)?;
+        let floor = state.sampler.floor_estimate();
+        if let Some(position) = position {
+            state.metrics.observe_floor(position, floor);
+        }
+        Some((Arc::clone(&state.metrics.floor), floor))
     }
 
     /// Idle tick: flushes Timer-policy WALs whose interval has elapsed.
@@ -1387,10 +1414,6 @@ impl Worker {
         let mut outputs =
             if matches!(op, StreamOp::Feed(_)) { self.pool.take() } else { Vec::new() };
         let response = state.apply(logged, &mut outputs);
-        // Live ops only: replay publishes no floor trajectory.
-        if let Response::Ingested { position, .. } | Response::Fed { position, .. } = response {
-            state.metrics.observe_floor(position, state.sampler.floor_estimate());
-        }
         if let StreamOp::Ingest(ids) | StreamOp::Feed(ids) = op {
             self.pool.put(ids);
         }
@@ -1459,14 +1482,6 @@ impl Worker {
                     }
                     state.metrics.event(TraceKind::Demote, self.index as u64, 0);
                     Response::Ok
-                }
-                None => unknown_stream(),
-            },
-            StreamOp::Floor => match self.streams.get(&stream) {
-                Some(state) => {
-                    let floor = state.sampler.floor_estimate();
-                    state.metrics.floor.set_u64(floor);
-                    Response::Value(floor)
                 }
                 None => unknown_stream(),
             },
@@ -1694,12 +1709,32 @@ struct Held {
     acks: Option<Box<dyn PendingAcks>>,
     /// The Stats job's routing entry ([`Job::stats`]).
     stats: Option<StreamEntry>,
+    /// A write's or install's post-op floor and the stream's floor gauge
+    /// ([`Worker::floor_to_publish`]), stored as the reply leaves.
+    floor: Option<(Arc<Gauge>, u64)>,
 }
 
 impl Held {
-    /// Sends the reply, folding a Stats reply's connection-side counters
-    /// in as it leaves: after any held write on its stream was acked.
+    /// Sends the reply. As it leaves — after any held write on its stream
+    /// was acked — a Stats reply folds in its connection-side counters,
+    /// and a write or install publishes its floor into the gauge that
+    /// routing answers `FloorEstimate` from. So a Floor read reports the
+    /// floor as of the stream's last answered write, never a write whose
+    /// reply (on a replicated stream: whose acks) is still outstanding.
+    ///
+    /// The gauge's `Relaxed` store is ordered before anything a client can
+    /// see of this reply: it is sequenced before the reply leaves this
+    /// thread, and every way the frame reaches the socket (this thread's
+    /// own write, the reactor's flush after its completion-queue mutex,
+    /// the pump after the reply channel) passes a syscall or a lock. A
+    /// client's next request is read by a syscall on the routing thread,
+    /// so its Floor load comes after the store. Exact up to `i64::MAX`
+    /// (the gauge saturates there), which a floor, bounded by the
+    /// stream's length in elements, does not reach in practice.
     fn send(self) {
+        if let Some((gauge, floor)) = &self.floor {
+            gauge.set_u64(*floor);
+        }
         let response = match &self.stats {
             Some(entry) => fold_stats(self.response, entry),
             None => self.response,
@@ -1714,9 +1749,11 @@ impl Held {
 /// which waits out each held reply's acks and sends the replies in queue
 /// order. A stream thus keeps its reply order, no read is answered before
 /// an earlier write to its stream is acked, and a `Demote` answers only
-/// once its stream holds nothing. The thread is spawned when the worker
-/// first holds a reply, so a server without a replication sink never
-/// starts one, and it is joined on drop, after every held reply went out.
+/// once its stream holds nothing. A `FloorEstimate` skips this queue: it
+/// reads the floor as of the stream's last answered write ([`Held::send`]).
+/// The thread is spawned when the worker first holds a reply, so a server
+/// without a replication sink never starts one, and it is joined on drop,
+/// after every held reply went out.
 struct Release {
     worker: usize,
     thread: Option<(Sender<Held>, JoinHandle<()>)>,
@@ -1805,7 +1842,7 @@ fn op_mutates(op: &StreamOp) -> bool {
         // Shipments touch the replica handler's logs, not this worker's
         // streams; the handler answers for its own consistency.
         StreamOp::Replicate(_) => false,
-        StreamOp::Floor | StreamOp::Snapshot | StreamOp::Stats => false,
+        StreamOp::Snapshot | StreamOp::Stats => false,
         #[cfg(test)]
         StreamOp::Panic => true,
     }
@@ -1823,7 +1860,6 @@ fn op_metric_index(op: &StreamOp) -> Option<usize> {
         StreamOp::Ingest(_) => "ingest",
         StreamOp::Feed(_) => "feed",
         StreamOp::Sample => "sample",
-        StreamOp::Floor => "floor",
         StreamOp::Snapshot => "snapshot",
         StreamOp::Stats => "stats",
         #[cfg(test)]
@@ -1939,7 +1975,8 @@ fn fold_stats(response: Response, entry: &StreamEntry) -> Response {
 
 impl Router {
     /// Resolves one decoded request: immediate answers are produced here
-    /// (metrics, validation, NotPrimary bounces, unknown/pending streams);
+    /// (metrics, floor estimates, validation, NotPrimary bounces,
+    /// unknown/pending streams);
     /// worker-bound ops come back with their route resolved and their
     /// payload copied off the frame (batches into pooled buffers).
     pub(crate) fn route(&self, request: &Request<'_>) -> Routed {
@@ -2031,7 +2068,14 @@ impl Router {
                 return Routed::Dispatch(Dispatch::to(entry, op));
             }
             Request::Sample { .. } => StreamOp::Sample,
-            Request::FloorEstimate { .. } => StreamOp::Floor,
+            // The floor as of the stream's last answered write: one atomic
+            // load, so it never queues behind a worker's batch.
+            Request::FloorEstimate { .. } => {
+                return Routed::Immediate(match self.lookup_ready(name) {
+                    Ok(entry) => Response::Value(u64::try_from(entry.floor.get()).unwrap_or(0)),
+                    Err(response) => response,
+                })
+            }
             Request::Snapshot { .. } => StreamOp::Snapshot,
             Request::Stats { .. } => StreamOp::Stats,
         };
@@ -2072,6 +2116,7 @@ impl Router {
                         id: self.registry.next_id.fetch_add(1, Ordering::Relaxed),
                         busy: self.metrics.stream_busy(name),
                         replication: self.metrics.stream_replication(name),
+                        floor: self.metrics.stream_floor(name),
                         ready: Arc::new(AtomicBool::new(false)),
                     };
                     streams.insert(name.to_string(), entry.clone());
@@ -2781,5 +2826,74 @@ mod tests {
         assert_eq!(client.stats("s").unwrap().pipeline.elements, 64);
         let text = client.metrics().unwrap();
         assert!(text.contains("uns_stream_elements_total{stream=\"s\"} 64\n"), "{text}");
+    }
+
+    #[test]
+    fn floor_answers_the_last_released_floor_while_the_worker_is_parked() {
+        let server = Server::start(ServerConfig { workers: 1, queue_depth: 8 });
+        let mut client = ServiceClient::new(server.connect_in_process()).unwrap();
+        client.create_stream("s", &test_config()).unwrap();
+        let ids: Vec<NodeId> = (0..64u64).map(NodeId::new).collect();
+        client.feed_batch("s", &ids).unwrap();
+        let mut reference = ServiceSampler::create(&test_config()).unwrap();
+        reference.feed_batch(&ids, &mut Vec::new());
+        let released = reference.floor_estimate();
+        reference.feed_batch(&ids, &mut Vec::new());
+        let next = reference.floor_estimate();
+        assert_ne!(released, next, "the queued feed must move the floor");
+        let id = server.router.registry.streams.lock().unwrap().get("s").unwrap().id;
+        let job = |op, reply| Job { stream: id, op, reply, reservation: None, stats: None };
+        // Park the worker on a rendezvous reply and queue a feed behind it.
+        let (park_tx, park_rx) = mpsc::sync_channel(0);
+        server.router.senders[0].send(job(StreamOp::Sample, ReplyTo::Channel(park_tx))).unwrap();
+        let (fed_tx, fed_rx) = mpsc::sync_channel(1);
+        server.router.senders[0]
+            .send(job(StreamOp::Feed(ids.clone()), ReplyTo::Channel(fed_tx)))
+            .unwrap();
+        std::thread::scope(|scope| {
+            let (floor_tx, floor_rx) = mpsc::channel();
+            let client = &mut client;
+            scope.spawn(move || floor_tx.send(client.floor_estimate("s")));
+            let floor = floor_rx.recv_timeout(Duration::from_secs(10));
+            park_rx.recv().unwrap(); // unpark whatever the outcome
+            let floor = floor.expect("Floor queued behind the parked worker").unwrap();
+            assert_eq!(floor, released, "Floor reported a write whose reply has not left");
+        });
+        assert!(matches!(fed_rx.recv().unwrap(), Response::Fed { .. }));
+        assert_eq!(client.floor_estimate("s").unwrap(), next, "the feed's reply published");
+    }
+
+    #[test]
+    fn a_restore_publishes_its_floor_before_its_reply_is_handed_off() {
+        let server = Server::start(ServerConfig { workers: 1, queue_depth: 8 });
+        let mut client = ServiceClient::new(server.connect_in_process()).unwrap();
+        client.create_stream("s", &test_config()).unwrap();
+        let ids: Vec<NodeId> = (0..64u64).map(NodeId::new).collect();
+        client.feed_batch("s", &ids).unwrap();
+        let (blob, restored) = (client.snapshot("s").unwrap(), client.floor_estimate("s").unwrap());
+        client.feed_batch("s", &ids).unwrap();
+        assert_ne!(
+            client.floor_estimate("s").unwrap(),
+            restored,
+            "the second feed moves the floor"
+        );
+        // Rewind "s" with the Restore's Ok reply parked on a rendezvous:
+        // the floor is published before the reply is handed off, so it
+        // reads the restored floor while the worker waits to hand it over.
+        let Routed::Dispatch(dispatch) =
+            server.router.reserve("s", true, || StreamOp::Restore("s".into(), blob))
+        else {
+            panic!("a ready name dispatches its restore")
+        };
+        let (park_tx, park_rx) = mpsc::sync_channel(0);
+        assert!(server.router.submit(dispatch, ReplyTo::Channel(park_tx)).is_none());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut floor = client.floor_estimate("s").unwrap();
+        while floor != restored && Instant::now() < deadline {
+            std::thread::yield_now();
+            floor = client.floor_estimate("s").unwrap();
+        }
+        assert_eq!(park_rx.recv().unwrap(), Response::Ok);
+        assert_eq!(floor, restored, "the rewound stream kept answering the old floor");
     }
 }
