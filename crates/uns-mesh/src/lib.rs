@@ -18,16 +18,18 @@
 //! * [`membership`] — the fixed node set plus the dynamic liveness view;
 //! * [`placement`] — rendezvous (highest-random-weight) placement: every
 //!   node computes the same primary/replica ranking with no coordinator;
-//! * [`replicator`] — the primary-side [`ReplicationSink`] (sends each
+//! * [`replicator`] — the primary-side
+//!   [`ReplicationSink`](uns_service::server::ReplicationSink) (sends each
 //!   WAL record to the replicas before the local append starts, overlaps
 //!   the local append and fsync with theirs, and leaves the acks to the
 //!   worker's release thread, which replies only once both appends are
 //!   durable; attaches/catches-up replicas synchronously on the frozen
 //!   stream, on a fresh connection) and the replica-side
-//!   [`ReplicaHandler`] (durably logs shipments before acking). Records
-//!   are pipelined, at most one per connection writing to the stream, so
-//!   a crash leaves the logs apart by at most those records sent but not
-//!   yet acked, which the clients' position resync resolves;
+//!   [`ReplicaHandler`](uns_service::server::ReplicaHandler) (durably logs
+//!   shipments before acking). Records are pipelined, at most one per
+//!   connection writing to the stream, so a crash leaves the logs apart by
+//!   at most those records sent but not yet acked, which the clients'
+//!   position resync resolves;
 //! * [`failover`] — seeded-heartbeat failure detection driving promotion.
 //!
 //! A [`MeshNode`] wires all four onto one [`Server`]. Clients are plain
@@ -54,9 +56,7 @@ use std::time::Duration;
 use uns_service::error::ServiceError;
 use uns_service::fault::FaultPlan;
 use uns_service::reactor::ReactorConfig;
-use uns_service::server::{
-    DurabilityConfig, ReplicaHandler, ReplicationSink, Server, ServerConfig,
-};
+use uns_service::server::{DurabilityConfig, Server, ServerConfig};
 use uns_service::storage::StorageBackend;
 use uns_service::wal::FsyncPolicy;
 
@@ -165,7 +165,7 @@ impl MeshNode {
         durability.fsync = config.fsync;
         let server = Arc::new(Server::start_durable(config.server, durability)?);
         let applier = Arc::new(ReplicaApplier::new(Arc::clone(&backend), config.fsync));
-        server.set_replica_handler(Some(Arc::clone(&applier) as Arc<dyn ReplicaHandler>));
+        server.set_replica_handler(Arc::clone(&applier) as _)?;
         let replicator = Arc::new(Replicator::new(
             name,
             Arc::clone(&membership),
@@ -176,7 +176,7 @@ impl MeshNode {
             config.op_timeout,
             config.fault_plan.clone(),
         ));
-        server.set_replication_sink(Some(Arc::clone(&replicator) as Arc<dyn ReplicationSink>));
+        server.set_replication_sink(Arc::clone(&replicator) as _)?;
         // Re-join demotion (the restart bugfix): durable recovery just
         // brought up *every* stream in this node's backend as primary —
         // including streams this node only ever held as a replica, and

@@ -44,7 +44,7 @@
 
 use crate::membership::Membership;
 use crate::placement::place;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,9 +53,7 @@ use uns_metrics::{LatencyHistogram, TraceKind};
 use uns_service::client::{ReplicationReceiver, ReplicationSender, ServiceClient};
 use uns_service::error::ServiceError;
 use uns_service::fault::{FaultPlan, FaultTransport};
-use uns_service::metrics::{
-    replication_ack_wait, stream_replication_handles, ReplicationHandles, ServiceMetrics,
-};
+use uns_service::metrics::{replication_ack_wait, ReplicationHandles, ServiceMetrics};
 use uns_service::protocol::{ErrorCode, Response};
 use uns_service::server::{PendingAcks, ReplicaHandler, ReplicationSink};
 use uns_service::storage::StorageBackend;
@@ -101,7 +99,13 @@ struct ApplierState {
 pub struct ReplicaApplier {
     backend: Arc<dyn StorageBackend>,
     fsync: FsyncPolicy,
+    /// Held across a shipment's durable appends.
     state: Mutex<ApplierState>,
+    /// The names in `state.streams`, under a lock of their own so that
+    /// [`ReplicaHandler::holds`] (asked on the thread that routes every
+    /// connection) never waits on a shipment's fsyncs. Updated inside each
+    /// `state` critical section that adds or drops a stream's log.
+    held: Mutex<BTreeSet<String>>,
 }
 
 impl ReplicaApplier {
@@ -109,7 +113,12 @@ impl ReplicaApplier {
     /// policy the node's server uses, so a replica ack promises exactly
     /// the durability a primary ack does.
     pub fn new(backend: Arc<dyn StorageBackend>, fsync: FsyncPolicy) -> Self {
-        Self { backend, fsync, state: Mutex::new(ApplierState::default()) }
+        Self {
+            backend,
+            fsync,
+            state: Mutex::new(ApplierState::default()),
+            held: Mutex::new(BTreeSet::new()),
+        }
     }
 
     /// Reopens a stream's durable state left by an earlier attach (the
@@ -142,6 +151,7 @@ impl ReplicaApplier {
     pub fn release(&self, stream: &str) -> bool {
         let mut state = self.state.lock().expect("applier lock poisoned");
         let held = state.streams.remove(stream).is_some();
+        self.held.lock().expect("held-names lock poisoned").remove(stream);
         if !state.released.iter().any(|s| s == stream) {
             state.released.push(stream.to_string());
         }
@@ -167,6 +177,7 @@ impl ReplicaApplier {
         match self.open_existing(stream)? {
             Some(entry) => {
                 state.streams.insert(stream.to_string(), entry);
+                self.held.lock().expect("held-names lock poisoned").insert(stream.to_string());
                 Ok(true)
             }
             None => Ok(false),
@@ -175,10 +186,7 @@ impl ReplicaApplier {
 
     /// Names of the streams currently held as replicas.
     pub fn held_streams(&self) -> Vec<String> {
-        let state = self.state.lock().expect("applier lock poisoned");
-        let mut names: Vec<String> = state.streams.keys().cloned().collect();
-        names.sort();
-        names
+        self.held.lock().expect("held-names lock poisoned").iter().cloned().collect()
     }
 
     /// The held stream's `(generation, next_seq)` durable position.
@@ -208,6 +216,7 @@ impl ReplicaHandler for ReplicaApplier {
             match self.open_existing(stream) {
                 Ok(Some(entry)) => {
                     state.streams.insert(stream.to_string(), entry);
+                    self.held.lock().expect("held-names lock poisoned").insert(stream.to_string());
                 }
                 Ok(None) => {}
                 Err(err) => {
@@ -248,9 +257,11 @@ impl ReplicaHandler for ReplicaApplier {
             match writer {
                 Ok(writer) => {
                     state.streams.insert(stream.to_string(), ReplicaStream { writer });
+                    self.held.lock().expect("held-names lock poisoned").insert(stream.to_string());
                 }
                 Err(err) => {
-                    return error(ErrorCode::Durability, format!("log restart failed: {err}"))
+                    self.held.lock().expect("held-names lock poisoned").remove(stream);
+                    return error(ErrorCode::Durability, format!("log restart failed: {err}"));
                 }
             }
         }
@@ -319,8 +330,7 @@ impl ReplicaHandler for ReplicaApplier {
     }
 
     fn holds(&self, stream: &str) -> bool {
-        let state = self.state.lock().expect("applier lock poisoned");
-        state.streams.contains_key(stream)
+        self.held.lock().expect("held-names lock poisoned").contains(stream)
     }
 }
 
@@ -457,15 +467,15 @@ impl Drop for ShipAcks {
 }
 
 /// A stream's replication state on its primary: the placement peers, as
-/// of a membership version, and the stream's replication series. Created
-/// at the stream's first shipment and reused for every later one, so a
-/// steady-state shipment allocates only its [`ShipAcks`].
+/// of a membership version. Created at the stream's first shipment and
+/// reused for every later one, so a steady-state shipment allocates only
+/// its [`ShipAcks`].
+#[derive(Default)]
 struct StreamSessions {
     /// [`Membership::version`] the peer list was placed under; `None`
     /// until the first placement.
     view: Option<u64>,
     peers: Vec<PeerSession>,
-    handles: ReplicationHandles,
 }
 
 impl StreamSessions {
@@ -522,9 +532,10 @@ impl Replicator {
     /// A sink for node `node`, shipping to the peers
     /// [`crate::placement::place`] assigns each stream over `membership`'s
     /// live view. `backend` is the node's own durable store (the catch-up
-    /// read side); `metrics` the node's server metrics (lag/bytes series
-    /// and the trace ring). `fault_plan`, when set, wraps every replication
-    /// connection — the partition tests sever exactly this path.
+    /// read side); `metrics` the node's server metrics (the ack-wait
+    /// histogram and the trace ring). `fault_plan`, when set, wraps every
+    /// replication connection — the partition tests sever exactly this
+    /// path.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         node: impl Into<String>,
@@ -709,6 +720,7 @@ impl ReplicationSink for Replicator {
     fn ship(
         &self,
         stream: &str,
+        handles: &ReplicationHandles,
         generation: u64,
         seq: u64,
         record: &[u8],
@@ -717,15 +729,13 @@ impl ReplicationSink for Replicator {
         // Only the owning worker ships a stream, so nobody else wants this
         // entry while it is out of the map.
         let taken = self.sessions.lock().expect("replicator lock poisoned").remove_entry(stream);
-        let (key, mut sessions) = taken.unwrap_or_else(|| {
-            let handles = stream_replication_handles(self.metrics.registry(), stream);
-            (stream.to_string(), StreamSessions { view: None, peers: Vec::new(), handles })
-        });
+        let (key, mut sessions) =
+            taken.unwrap_or_else(|| (stream.to_string(), StreamSessions::default()));
         let view = self.membership.version();
         if sessions.view != Some(view) {
             sessions.replace_peers(self.placed_peers(stream), view);
         }
-        let StreamSessions { peers, handles, .. } = &mut sessions;
+        let peers = &mut sessions.peers;
 
         // 1. Attach or catch up where needed, then send the record. Only a
         // fresh connection attaches: records still in flight on an old one

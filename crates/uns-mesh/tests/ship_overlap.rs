@@ -135,7 +135,9 @@ fn the_local_fsync_overlaps_the_replica_round_trip() {
         inner: ReplicaApplier::new(Arc::new(MemBackend::new()), FsyncPolicy::PerOp),
         armed: AtomicBool::new(false),
     });
-    replica_server.set_replica_handler(Some(Arc::clone(&replica) as Arc<dyn ReplicaHandler>));
+    replica_server
+        .set_replica_handler(Arc::clone(&replica) as Arc<dyn ReplicaHandler>)
+        .expect("install");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let replica_addr = listener.local_addr().expect("addr");
 
@@ -163,7 +165,9 @@ fn the_local_fsync_overlaps_the_replica_round_trip() {
         Some(Duration::from_secs(5)),
         None,
     );
-    primary.set_replication_sink(Some(Arc::new(replicator) as Arc<dyn ReplicationSink>));
+    primary
+        .set_replication_sink(Arc::new(replicator) as Arc<dyn ReplicationSink>)
+        .expect("install");
 
     std::thread::scope(|scope| {
         let reactor =

@@ -14,7 +14,7 @@ use std::time::Duration;
 use uns_core::NodeId;
 use uns_mesh::{AttachStats, Membership, NodeInfo, ReplicaApplier, Replicator};
 use uns_service::fault::{FaultPlan, FaultSpec};
-use uns_service::metrics::ServiceMetrics;
+use uns_service::metrics::{stream_replication_handles, ReplicationHandles, ServiceMetrics};
 use uns_service::protocol::{ErrorCode, EstimatorKind, HashFamilyKind, Response, StreamConfig};
 use uns_service::sampler::ServiceSampler;
 use uns_service::server::{ReplicaHandler, ReplicationSink, Server, ServerConfig};
@@ -141,6 +141,11 @@ fn record(batch: u64) -> Vec<u8> {
     record
 }
 
+/// The stream's replication series, as its owning worker hands them over.
+fn series() -> ReplicationHandles {
+    stream_replication_handles(ServiceMetrics::new(1).registry(), STREAM)
+}
+
 /// Ships batch `batch` as the primary's next record with the append to
 /// `wal` as the local step, then waits out the acks the way a worker's
 /// release thread does before replying; returns how often the local step
@@ -149,7 +154,7 @@ fn ship(replicator: &Replicator, wal: &mut WalWriter, batch: u64) -> u64 {
     let record = record(batch);
     let (generation, seq) = (wal.generation(), wal.next_seq());
     let mut calls = 0;
-    let acks = replicator.ship(STREAM, generation, seq, &record, &mut || {
+    let acks = replicator.ship(STREAM, &series(), generation, seq, &record, &mut || {
         calls += 1;
         wal.append_record(&record).is_ok()
     });
@@ -184,7 +189,7 @@ fn with_replica(run: impl FnOnce(&Replica, SocketAddr)) {
         fault: Mutex::new(None),
     });
     let server = Server::start(ServerConfig { workers: 1, queue_depth: 8 });
-    server.set_replica_handler(Some(Arc::clone(&replica) as Arc<dyn ReplicaHandler>));
+    server.set_replica_handler(Arc::clone(&replica) as Arc<dyn ReplicaHandler>).expect("install");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     std::thread::scope(|scope| {
@@ -268,7 +273,7 @@ fn a_panicking_local_append_poisons_nothing_and_rebases_the_replica() {
         *replica.fault.lock().expect("fault lock") = Some((1, Fault::Stall(SHORT_STALL)));
         let lost = record(100);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            replicator.ship(STREAM, 1, 1, &lost, &mut || panic!("append panicked"))
+            replicator.ship(STREAM, &series(), 1, 1, &lost, &mut || panic!("append panicked"))
         }));
         assert!(panicked.is_err(), "the panic reaches the caller");
         assert_eq!(replica.applier.position(STREAM).map(|(_, next)| next), Some(2));

@@ -142,7 +142,7 @@ fn with_pair(run: impl FnOnce(&Pair)) {
         stall_ms: AtomicU64::new(0),
         stalls: AtomicU64::new(0),
     });
-    replica.set_replica_handler(Some(Arc::clone(&handler) as Arc<dyn ReplicaHandler>));
+    replica.set_replica_handler(Arc::clone(&handler) as Arc<dyn ReplicaHandler>).expect("install");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let replica_addr = listener.local_addr().expect("addr");
 
@@ -169,7 +169,9 @@ fn with_pair(run: impl FnOnce(&Pair)) {
         Some(Duration::from_secs(5)),
         Some(Arc::clone(&plan)),
     ));
-    primary.set_replication_sink(Some(Arc::clone(&replicator) as Arc<dyn ReplicationSink>));
+    primary
+        .set_replication_sink(Arc::clone(&replicator) as Arc<dyn ReplicationSink>)
+        .expect("install");
     let pair =
         Pair { primary, primary_backend, replica, replica_backend, handler, replicator, plan };
     std::thread::scope(|scope| {

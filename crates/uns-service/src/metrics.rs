@@ -117,6 +117,15 @@ pub struct ServiceMetrics {
     /// (the enqueue increment races the worker's decrement), never off by
     /// more than in-flight jobs.
     pub(crate) queue_depth: Vec<Arc<Gauge>>,
+    /// `uns_queue_wait_nanos{worker="i"}`: enqueue to the worker taking
+    /// the job.
+    pub(crate) queue_wait: Vec<Arc<LatencyHistogram>>,
+    /// `uns_applier_queue_wait_nanos`: enqueue to the replica applier
+    /// taking the shipment.
+    pub(crate) applier_queue_wait: Arc<LatencyHistogram>,
+    /// `uns_replica_apply_nanos`: one shipment's apply on the replica
+    /// applier, durable appends included.
+    pub(crate) replica_apply: Arc<LatencyHistogram>,
     op_latency: [Arc<LatencyHistogram>; OP_LABELS.len()],
     pub(crate) wal_append: Arc<LatencyHistogram>,
     pub(crate) wal_fsync: Arc<LatencyHistogram>,
@@ -140,6 +149,25 @@ impl ServiceMetrics {
                 )
             })
             .collect();
+        let queue_wait = (0..workers)
+            .map(|index| {
+                registry.histogram(
+                    "uns_queue_wait_nanos",
+                    "Time a job waited in its worker's queue before the worker took it.",
+                    &[("worker", &index.to_string())],
+                )
+            })
+            .collect();
+        let applier_queue_wait = registry.histogram(
+            "uns_applier_queue_wait_nanos",
+            "Time a replica shipment waited in the replica applier's queue.",
+            &[],
+        );
+        let replica_apply = registry.histogram(
+            "uns_replica_apply_nanos",
+            "Latency of applying one replica shipment, durable appends included.",
+            &[],
+        );
         let op_latency = std::array::from_fn(|index| {
             registry.histogram(
                 "uns_op_latency_nanos",
@@ -157,6 +185,9 @@ impl ServiceMetrics {
             registry,
             trace: Arc::new(TraceLog::new(TRACE_CAPACITY)),
             queue_depth,
+            queue_wait,
+            applier_queue_wait,
+            replica_apply,
             op_latency,
             wal_append,
             wal_fsync,
@@ -223,6 +254,7 @@ impl ServiceMetrics {
                 &labels,
             ),
             recoveries: self.registry.counter(METRIC_STREAM_RECOVERIES, HELP_RECOVERIES, &labels),
+            replication: stream_replication_handles(&self.registry, stream),
             window_min: u64::MAX,
             window_len: 0,
         }
@@ -233,13 +265,6 @@ impl ServiceMetrics {
     /// atomic.
     pub(crate) fn stream_floor(&self, stream: &str) -> Arc<Gauge> {
         self.registry.gauge(METRIC_STREAM_FLOOR, HELP_FLOOR, &[("stream", stream)])
-    }
-
-    /// The replication handle bundle for `stream` — registered from the
-    /// connection side (like [`ServiceMetrics::stream_busy`]) so the
-    /// `Stats` fold reads the same atomics the exposition renders.
-    pub(crate) fn stream_replication(&self, stream: &str) -> ReplicationHandles {
-        stream_replication_handles(&self.registry, stream)
     }
 
     /// Drops every series labeled with this stream — torn-down streams
@@ -310,10 +335,10 @@ pub(crate) struct ReactorMetrics {
     pub(crate) replies_deferred: Arc<Counter>,
 }
 
-/// The per-stream replication series handles. The registry hands out the
-/// same atomics for the same name, so a mesh replicator registering these
-/// against a server's [`MetricsRegistry`] updates exactly the numbers the
-/// server's `Stats` fold and `/metrics` exposition report.
+/// The per-stream replication series handles, which the owning worker
+/// hands the replication sink with every shipment. The registry hands out
+/// the same atomics for the same name, so the sink updates exactly the
+/// numbers the `Stats` fold and `/metrics` exposition report.
 #[derive(Clone, Debug)]
 pub struct ReplicationHandles {
     /// `uns_replica_lag_records{stream=…}` — records sent to the replicas
@@ -371,6 +396,8 @@ pub(crate) struct StreamMetrics {
     pub compactions: Arc<Counter>,
     /// Lifetime recoveries.
     pub recoveries: Arc<Counter>,
+    /// Replication series, bumped by the replication sink.
+    pub replication: ReplicationHandles,
     window_min: u64,
     window_len: u32,
 }

@@ -828,7 +828,7 @@ mod tests {
 
         let primary_owner = Server::start(ServerConfig::default());
         let replica_owner = Server::start(ServerConfig::default());
-        replica_owner.set_replica_handler(Some(Arc::new(HoldsEverything)));
+        replica_owner.set_replica_handler(Arc::new(HoldsEverything)).unwrap();
         {
             let mut plain = ServiceClient::new(primary_owner.connect_in_process()).unwrap();
             plain.create_stream("s", &stream_config()).unwrap();

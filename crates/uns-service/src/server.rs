@@ -56,6 +56,9 @@
 //! sent but not yet acked — one per connection writing to the stream —
 //! which the clients' position resync resolves.
 //!
+//! The two replication hooks are installed once and read without a lock;
+//! routing asks the replica handler only about names it does not serve.
+//!
 //! Replica shipments queue for the **replica applier**, one thread of its
 //! own rather than a stream worker. If the peer applied shipments on a
 //! worker that could itself be busy shipping back, two nodes replicating
@@ -96,7 +99,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uns_core::NodeId;
@@ -191,18 +194,14 @@ pub(crate) enum StreamOp {
     Sample,
     Snapshot,
     Stats,
-    /// A replication shipment for a replica-held stream, applied through
-    /// the replica handler on the replica applier, never on a worker.
-    Replicate(Box<Shipment>),
     /// Test hook: panics inside the worker, exercising panic isolation.
     #[cfg(test)]
     Panic,
 }
 
-/// One `Replicate` request, copied off the frame so the applier can apply
-/// it after the connection has moved on to its next bytes.
+/// One `Replicate` request, copied off the frame so the replica applier
+/// can apply it after the connection has moved on to its next bytes.
 pub(crate) struct Shipment {
-    handler: Arc<dyn ReplicaHandler>,
     name: String,
     generation: u64,
     first_seq: u64,
@@ -240,9 +239,12 @@ pub(crate) struct Job {
     /// Phase 2 of a fresh name's reservation, settled by the worker
     /// before `reply` is sent.
     reservation: Option<Reservation>,
-    /// A Stats job's routing entry, whose connection-side counters the
-    /// reply folds in as it leaves ([`Held::send`]).
-    stats: Option<StreamEntry>,
+    /// A Stats job's busy counter, its routing entry's, which the reply
+    /// folds in as it leaves ([`Held::send`]).
+    stats: Option<Arc<Counter>>,
+    /// When the job was queued: its queue wait ends when the worker takes
+    /// it.
+    enqueued: Instant,
 }
 
 /// Routing entry of one named stream.
@@ -255,10 +257,6 @@ pub(crate) struct StreamEntry {
     /// `uns_stream_busy_rejections_total` counter itself, so the Stats
     /// fold and the exposition read the same atomic.
     busy: Arc<Counter>,
-    /// The stream's registered replication series (lag gauge, shipped
-    /// bytes, failovers) — same idiom as `busy`: the mesh replicator
-    /// updates the registry atomics, the Stats fold reads them here.
-    replication: ReplicationHandles,
     /// The stream's registered `uns_stream_floor` gauge: the floor as of
     /// its last answered write or install ([`Held::send`]), which routing
     /// answers `FloorEstimate` from.
@@ -400,14 +398,15 @@ impl BufferPool {
 /// sick replica beyond the sink's own timeout. `local` must run with none
 /// of the sink's locks held, so a panicking append cannot poison them.
 pub trait ReplicationSink: Send + Sync {
-    /// Ships one record for `stream`: `seq` is the sequence the record
-    /// will occupy, `generation` the incarnation appending it. Runs
-    /// `local` exactly once, after the sends. Returns the acks still
-    /// outstanding, or `None` when none are: no replica was sent the
-    /// record, or `local` failed and the sink waited them out itself.
+    /// Ships one record for `stream`, counted in its `series`: `seq` is the
+    /// sequence the record will occupy, `generation` the incarnation
+    /// appending it. Runs `local` exactly once, after the sends. Returns the
+    /// acks still outstanding, or `None` when none are: no replica was sent
+    /// the record, or `local` failed and the sink waited them out itself.
     fn ship(
         &self,
         stream: &str,
+        series: &ReplicationHandles,
         generation: u64,
         seq: u64,
         record: &[u8],
@@ -431,10 +430,12 @@ pub trait PendingAcks: Send {
 /// [`ErrorCode::NotPrimary`] instead of `UnknownStream`).
 ///
 /// Replica-held streams live **outside** the server's stream registry —
-/// they must not serve reads mid-catch-up. During a promotion the handler
-/// must stop claiming the stream *before* [`Server::adopt_stream`] is
-/// called, so the one-point [`ReplicaHandler::holds`] check in routing
-/// never bounces ops on a stream the registry already serves.
+/// they must not serve reads mid-catch-up — and a served name is never
+/// held: during a promotion the handler must stop claiming the stream
+/// *before* [`Server::adopt_stream`] is called. Routing enforces the
+/// other half (it answers a shipment for a served name `NotPrimary`
+/// itself, so `apply` never sees one) and asks
+/// [`ReplicaHandler::holds`] only about names it does not serve.
 ///
 /// `apply` runs on the server's replica applier, one thread that never
 /// ships (see the module docs): shipments apply in arrival order, a slow
@@ -454,13 +455,14 @@ pub trait ReplicaHandler: Send + Sync {
         records: &[u8],
     ) -> Response;
 
-    /// Whether this node currently holds `stream` as a replica.
+    /// Whether this node currently holds `stream` as a replica. Asked on
+    /// the routing thread: it must not wait on a shipment's appends.
     fn holds(&self, stream: &str) -> bool;
 }
 
-/// Shared slot for the primary-side replication sink: set after start (the
-/// mesh wires nodes together once they all listen), read by every worker.
-type SinkCell = Arc<Mutex<Option<Arc<dyn ReplicationSink>>>>;
+/// Install-once slot for a replication hook, set after start (the mesh
+/// wires nodes together once they all listen) and read without a lock.
+type Hook<T> = Arc<OnceLock<Arc<T>>>;
 
 /// What routing reads, shared by the server handle, the reactor thread
 /// and every pump thread: the name registry, the worker queues, the
@@ -470,10 +472,10 @@ pub(crate) struct Router {
     senders: Vec<SyncSender<Job>>,
     /// The replica applier's queue (see the module docs); `None` once the
     /// server is dropped.
-    applier: Option<Sender<Job>>,
+    applier: Option<Sender<(Shipment, ReplyTo, Instant)>>,
     pub(crate) pool: Arc<BufferPool>,
     pub(crate) metrics: Arc<ServiceMetrics>,
-    replica_handler: Mutex<Option<Arc<dyn ReplicaHandler>>>,
+    replica_handler: Hook<dyn ReplicaHandler>,
 }
 
 /// The sampling server: owns the worker pool and accepts connections on
@@ -487,7 +489,7 @@ pub struct Server {
     workers: Vec<JoinHandle<()>>,
     pub(crate) shutdown: Arc<AtomicBool>,
     durability: Option<DurabilityConfig>,
-    replication_sink: SinkCell,
+    replication_sink: Hook<dyn ReplicationSink>,
     /// Wakers of accept/reactor loops blocked in a poller wait;
     /// [`Server::stop`] wakes each one so no loop sits out a timeout.
     pub(crate) accept_wakers: Arc<Mutex<Vec<Arc<epoll::Waker>>>>,
@@ -556,7 +558,6 @@ impl Server {
                     worker,
                     id,
                     busy: metrics.stream_busy(name),
-                    replication: metrics.stream_replication(name),
                     floor: Arc::clone(&state.metrics.floor),
                     ready: Arc::new(AtomicBool::new(true)),
                 },
@@ -583,7 +584,8 @@ impl Server {
         });
         let shutdown = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
-        let replication_sink: SinkCell = Arc::new(Mutex::new(None));
+        let replication_sink: Hook<dyn ReplicationSink> = Arc::default();
+        let replica_handler: Hook<dyn ReplicaHandler> = Arc::default();
         initial.resize_with(workers_n, HashMap::new);
         let mut senders = Vec::with_capacity(workers_n);
         let mut workers = Vec::with_capacity(workers_n);
@@ -609,13 +611,15 @@ impl Server {
                     .expect("spawning a worker thread"),
             );
         }
-        let (applier, rx) = mpsc::channel::<Job>();
+        let (applier, rx) = mpsc::channel();
         let applier_shutdown = Arc::clone(&shutdown);
+        let handler = Arc::clone(&replica_handler);
+        let applier_metrics = Arc::clone(&metrics);
         // Joined with the workers on drop.
         workers.push(
             std::thread::Builder::new()
                 .name("uns-replica-applier".into())
-                .spawn(move || applier_main(&rx, &applier_shutdown))
+                .spawn(move || applier_main(&rx, &applier_shutdown, &handler, &applier_metrics))
                 .expect("spawning the replica applier thread"),
         );
         let router = Arc::new(Router {
@@ -624,7 +628,7 @@ impl Server {
             applier: Some(applier),
             pool,
             metrics,
-            replica_handler: Mutex::new(None),
+            replica_handler,
         });
         Self {
             config: ServerConfig { workers: workers_n, queue_depth },
@@ -815,17 +819,18 @@ impl Server {
         }
     }
 
-    /// Installs (or clears) the primary-side replication sink. Workers
-    /// pick it up on their next mutating op; ops already past the ship
-    /// hook are unaffected.
-    pub fn set_replication_sink(&self, sink: Option<Arc<dyn ReplicationSink>>) {
-        *self.replication_sink.lock().expect("replication sink lock poisoned") = sink;
+    /// Installs the primary-side replication sink, which workers ship
+    /// each mutating op's record through from their next op on. It is set
+    /// once: a second install fails with [`ServiceError::InvalidConfig`].
+    pub fn set_replication_sink(&self, sink: Arc<dyn ReplicationSink>) -> Result<(), ServiceError> {
+        self.replication_sink.set(sink).map_err(|_| already_installed("replication sink"))
     }
 
-    /// Installs (or clears) the replica-side shipment handler. Connections
-    /// pick it up on their next frame.
-    pub fn set_replica_handler(&self, handler: Option<Arc<dyn ReplicaHandler>>) {
-        *self.router.replica_handler.lock().expect("replica handler lock poisoned") = handler;
+    /// Installs the replica-side shipment handler, which routing hands the
+    /// `Replicate` frames to from the next frame on. It is set once: a
+    /// second install fails with [`ServiceError::InvalidConfig`].
+    pub fn set_replica_handler(&self, hook: Arc<dyn ReplicaHandler>) -> Result<(), ServiceError> {
+        self.router.replica_handler.set(hook).map_err(|_| already_installed("replica handler"))
     }
 
     /// Promotes a replica-held stream to primary on this node: rebuild it
@@ -912,6 +917,10 @@ impl Server {
         };
         response.into_result().map(|_| ())
     }
+}
+
+fn already_installed(hook: &str) -> ServiceError {
+    ServiceError::InvalidConfig(format!("a {hook} is already installed; it is set once"))
 }
 
 impl Drop for Server {
@@ -1271,7 +1280,7 @@ struct Worker {
     registry: Arc<Registry>,
     durability: Option<DurabilityConfig>,
     metrics: Arc<ServiceMetrics>,
-    sink: SinkCell,
+    sink: Hook<dyn ReplicationSink>,
 }
 
 /// A worker thread: steps through jobs until shutdown, ticks while idle,
@@ -1313,11 +1322,13 @@ impl Worker {
     /// again. Read-only ops (snapshot/stats) cannot corrupt state, so
     /// their stream survives a panic intact.
     fn step(&mut self, job: Job) {
+        let started = Instant::now();
         self.metrics.queue_depth[self.index].dec();
-        let Job { stream, op, reply, reservation, stats } = job;
+        let Job { stream, op, reply, reservation, stats, enqueued } = job;
+        self.metrics.queue_wait[self.index]
+            .record_duration(started.saturating_duration_since(enqueued));
         let mutates = op_mutates(&op);
         let op_index = op_metric_index(&op);
-        let started = Instant::now();
         let execute = std::panic::AssertUnwindSafe(|| self.execute(stream, op));
         let (response, acks) = std::panic::catch_unwind(execute).unwrap_or_else(|panic| {
             let message = format!("stream operation panicked: {}", panic_message(panic.as_ref()));
@@ -1341,6 +1352,10 @@ impl Worker {
         if let Some(reservation) = reservation {
             reservation.settle(&response);
         }
+        // A Stats reply also folds the replication series the worker holds.
+        let stats = stats
+            .zip(self.streams.get(&stream))
+            .map(|(busy, state)| (busy, state.metrics.replication.clone()));
         self.release.reply(stream, Held { reply, response, acks, stats, floor });
     }
 
@@ -1461,7 +1476,7 @@ impl Worker {
                         let generation =
                             state.durable.as_ref().map_or(0, |durable| durable.wal.generation());
                         state.metrics.event(TraceKind::Promote, self.index as u64, generation);
-                        self.metrics.stream_replication(&name).failovers.inc();
+                        state.metrics.replication.failovers.inc();
                         self.streams.insert(stream, state);
                         Response::Ok
                     }
@@ -1507,7 +1522,6 @@ impl Worker {
             StreamOp::Ingest(_) | StreamOp::Feed(_) | StreamOp::Sample => {
                 unreachable!("logged ops run in Worker::execute")
             }
-            StreamOp::Replicate(_) => unreachable!("shipments run on the replica applier"),
             #[cfg(test)]
             StreamOp::Panic => panic!("test-injected worker panic"),
         }
@@ -1550,9 +1564,9 @@ impl Worker {
         let mut appended = None;
         // Idempotent: the first call appends, repeats report its outcome.
         let mut local = || appended.get_or_insert_with(|| wal.append_record(record)).is_ok();
-        let shipper = self.sink.lock().expect("replication sink lock poisoned").clone();
-        let acks =
-            shipper.and_then(|shipper| shipper.ship(name, generation, seq, record, &mut local));
+        let acks = self.sink.get().and_then(|sink| {
+            sink.ship(name, &state.metrics.replication, generation, seq, record, &mut local)
+        });
         // The append itself when no sink is installed (or a sink skipped it).
         local();
         let err = match appended.expect("local append ran") {
@@ -1707,8 +1721,9 @@ struct Held {
     reply: ReplyTo,
     response: Response,
     acks: Option<Box<dyn PendingAcks>>,
-    /// The Stats job's routing entry ([`Job::stats`]).
-    stats: Option<StreamEntry>,
+    /// A Stats reply's busy counter ([`Job::stats`]) and its stream's
+    /// replication series.
+    stats: Option<(Arc<Counter>, ReplicationHandles)>,
     /// A write's or install's post-op floor and the stream's floor gauge
     /// ([`Worker::floor_to_publish`]), stored as the reply leaves.
     floor: Option<(Arc<Gauge>, u64)>,
@@ -1736,7 +1751,7 @@ impl Held {
             gauge.set_u64(*floor);
         }
         let response = match &self.stats {
-            Some(entry) => fold_stats(self.response, entry),
+            Some((busy, replication)) => fold_stats(self.response, busy, replication),
             None => self.response,
         };
         self.reply.send(response);
@@ -1839,9 +1854,6 @@ fn op_mutates(op: &StreamOp) -> bool {
         // Demote only removes state; a panic mid-removal leaves nothing
         // worth healing (the registry entry is already gone).
         StreamOp::Demote => false,
-        // Shipments touch the replica handler's logs, not this worker's
-        // streams; the handler answers for its own consistency.
-        StreamOp::Replicate(_) => false,
         StreamOp::Snapshot | StreamOp::Stats => false,
         #[cfg(test)]
         StreamOp::Panic => true,
@@ -1854,9 +1866,9 @@ fn op_metric_index(op: &StreamOp) -> Option<usize> {
     let label = match op {
         StreamOp::Create(..) => "create",
         StreamOp::Restore(..) => "restore",
-        // Promotion, demotion and shipments are the mesh's traffic, not
-        // client ops — no op label.
-        StreamOp::Adopt(..) | StreamOp::Demote | StreamOp::Replicate(_) => return None,
+        // Promotion and demotion are the mesh's traffic, not client ops —
+        // no op label.
+        StreamOp::Adopt(..) | StreamOp::Demote => return None,
         StreamOp::Ingest(_) => "ingest",
         StreamOp::Feed(_) => "feed",
         StreamOp::Sample => "sample",
@@ -1881,20 +1893,25 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 /// stream's shipments stay in order) and never ships, so it always drains
 /// — see the module docs. Exits like a worker: on disconnect, or at the
 /// shutdown flag.
-fn applier_main(rx: &Receiver<Job>, shutdown: &AtomicBool) {
+fn applier_main(
+    rx: &Receiver<(Shipment, ReplyTo, Instant)>,
+    shutdown: &AtomicBool,
+    handler: &Hook<dyn ReplicaHandler>,
+    metrics: &ServiceMetrics,
+) {
     while !shutdown.load(Ordering::Relaxed) {
-        let job = match rx.recv_timeout(std::time::Duration::from_millis(25)) {
-            Ok(job) => job,
+        let (shipment, reply, enqueued) = match rx.recv_timeout(Duration::from_millis(25)) {
+            Ok(queued) => queued,
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         };
-        let StreamOp::Replicate(shipment) = job.op else {
-            unreachable!("only shipments are queued for the applier")
-        };
+        let handler = handler.get().expect("routing queues shipments only once a handler is set");
+        let started = Instant::now();
+        metrics.applier_queue_wait.record_duration(started.saturating_duration_since(enqueued));
         // A panicking handler costs this shipment an error reply, not the
         // applier: the replicator treats it like any failed shipment.
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shipment.handler.apply(
+            handler.apply(
                 &shipment.name,
                 shipment.generation,
                 shipment.first_seq,
@@ -1906,7 +1923,8 @@ fn applier_main(rx: &Receiver<Job>, shutdown: &AtomicBool) {
             code: ErrorCode::Other,
             message: format!("replica apply panicked: {}", panic_message(panic.as_ref())),
         });
-        job.reply.send(response);
+        metrics.replica_apply.record_duration(started.elapsed());
+        reply.send(response);
     }
 }
 
@@ -1937,35 +1955,35 @@ pub(crate) enum Routed {
     Dispatch(Dispatch),
 }
 
-/// A worker-bound request: the job to enqueue and where it goes.
-pub(crate) struct Dispatch {
-    op: StreamOp,
-    /// The target stream's routing entry: it names the owning worker, a
-    /// Busy bounce counts against it, and a Stats reply folds its counters
-    /// ([`Job::stats`]). `None` for a shipment, which targets no
-    /// registered stream and goes to the replica applier.
-    entry: Option<StreamEntry>,
-    reservation: Option<Reservation>,
+/// A request to enqueue: a stream op for its owning worker, or a shipment
+/// for the replica applier.
+pub(crate) enum Dispatch {
+    /// `op` on the stream behind `entry`, the stream's routing entry: it
+    /// names the owning worker, a Busy bounce counts against it, and a
+    /// Stats reply folds its counters ([`Job::stats`]).
+    Stream { op: StreamOp, entry: StreamEntry, reservation: Option<Reservation> },
+    /// A shipment, which targets no registered stream.
+    Shipment(Shipment),
 }
 
 impl Dispatch {
     /// `op` on the stream behind `entry`.
     fn to(entry: StreamEntry, op: StreamOp) -> Self {
-        Self { op, entry: Some(entry), reservation: None }
+        Self::Stream { op, entry, reservation: None }
     }
 }
 
-/// Folds the stream's connection-side counters (busy rejections, the
-/// replication series) into a worker's Stats reply — the wire Stats and
-/// the exposition read the same registered atomics.
-fn fold_stats(response: Response, entry: &StreamEntry) -> Response {
+/// Folds the stream's busy rejections and replication series into a
+/// worker's Stats reply — the wire Stats and the exposition read the same
+/// registered atomics.
+fn fold_stats(response: Response, busy: &Counter, replication: &ReplicationHandles) -> Response {
     match response {
         Response::Stats(mut stats) => {
-            stats.busy_rejections = entry.busy.get();
+            stats.busy_rejections = busy.get();
             stats.replication = ReplicationStats {
-                lag_records: u64::try_from(entry.replication.lag.get()).unwrap_or(0),
-                shipped_bytes: entry.replication.shipped_bytes.get(),
-                failovers: entry.replication.failovers.get(),
+                lag_records: u64::try_from(replication.lag.get()).unwrap_or(0),
+                shipped_bytes: replication.shipped_bytes.get(),
+                failovers: replication.failovers.get(),
             };
             Response::Stats(stats)
         }
@@ -1993,40 +2011,40 @@ impl Router {
                 message: format!("stream name must be 1..={MAX_STREAM_NAME_LEN} bytes"),
             });
         }
-        // Re-resolved per request: the mesh installs/clears the handler
-        // while connections are live (e.g. around a promotion).
-        let handler = self.replica_handler.lock().expect("replica handler lock poisoned").clone();
         // Shipments go to the replica handler, never to a registered
         // stream: replica streams live outside the registry (they must not
         // serve reads mid-catch-up), and the handler owns their WALs.
         if let Request::Replicate { generation, first_seq, snapshot, records, .. } = request {
-            let Some(handler) = handler else {
+            if self.replica_handler.get().is_none() {
                 return Routed::Immediate(Response::Error {
                     code: ErrorCode::Other,
                     message: "node accepts no replication shipments".into(),
                 });
-            };
-            let shipment = Shipment {
-                handler,
+            }
+            // A served name is never held, so the handler never opens
+            // the log its worker writes: a shipment for it (a peer that
+            // promoted the stream while this node kept serving it) is
+            // refused here.
+            if self.registry.streams.lock().expect("registry lock poisoned").contains_key(name) {
+                return Routed::Immediate(Response::Error {
+                    code: ErrorCode::NotPrimary,
+                    message: format!("stream {name:?} is served as primary on this node"),
+                });
+            }
+            return Routed::Dispatch(Dispatch::Shipment(Shipment {
                 name: name.to_string(),
                 generation: *generation,
                 first_seq: *first_seq,
                 snapshot: snapshot.map(<[u8]>::to_vec),
                 records: records.to_vec(),
-            };
-            let op = StreamOp::Replicate(Box::new(shipment));
-            return Routed::Dispatch(Dispatch { op, entry: None, reservation: None });
+            }));
         }
-        // Data ops on a replica-held stream bounce *before* routing: the
-        // name is absent from the registry by design, and answering
-        // UnknownStream would send clients re-creating a stream that is
-        // alive elsewhere. NotPrimary is unambiguous — nothing was applied
-        // — so clients fail over without a position resync.
-        if handler.is_some_and(|handler| handler.holds(name)) {
-            return Routed::Immediate(Response::Error {
-                code: ErrorCode::NotPrimary,
-                message: format!("stream {name:?} is held as a replica on this node"),
-            });
+        // A create or restore of a replica-held name would put a second
+        // primary on the wire.
+        if matches!(request, Request::CreateStream { .. } | Request::Restore { .. }) {
+            if let Some(bounce) = self.held_here(name) {
+                return Routed::Immediate(bounce);
+            }
         }
         // Batches are capped below the frame limit so the echoed Fed reply
         // provably fits a frame too (see [`MAX_BATCH_IDS`]).
@@ -2115,7 +2133,6 @@ impl Router {
                         worker: (next as usize) % self.senders.len(),
                         id: self.registry.next_id.fetch_add(1, Ordering::Relaxed),
                         busy: self.metrics.stream_busy(name),
-                        replication: self.metrics.stream_replication(name),
                         floor: self.metrics.stream_floor(name),
                         ready: Arc::new(AtomicBool::new(false)),
                     };
@@ -2124,30 +2141,38 @@ impl Router {
                 }
             }
         };
-        let mut dispatch = Dispatch::to(entry.clone(), make_op());
-        if fresh {
-            dispatch.reservation = Some(Reservation {
-                registry: Arc::clone(&self.registry),
-                metrics: Arc::clone(&self.metrics),
-                name: name.to_string(),
-                entry,
-            });
-        }
-        Routed::Dispatch(dispatch)
+        let reservation = fresh.then(|| Reservation {
+            registry: Arc::clone(&self.registry),
+            metrics: Arc::clone(&self.metrics),
+            name: name.to_string(),
+            entry: entry.clone(),
+        });
+        Routed::Dispatch(Dispatch::Stream { op: make_op(), entry, reservation })
     }
 
-    /// Looks a stream up for a non-create operation: unknown names error,
-    /// entries still being created bounce with Busy.
+    /// Looks a stream up for a non-create operation: entries still being
+    /// created bounce with Busy, unknown names error ([`Router::held_here`]).
     fn lookup_ready(&self, name: &str) -> Result<StreamEntry, Response> {
-        let streams = self.registry.streams.lock().expect("registry lock poisoned");
-        match streams.get(name) {
-            Some(entry) if entry.ready.load(Ordering::Acquire) => Ok(entry.clone()),
+        let entry =
+            self.registry.streams.lock().expect("registry lock poisoned").get(name).cloned();
+        match entry {
+            Some(entry) if entry.ready.load(Ordering::Acquire) => Ok(entry),
             Some(_) => Err(Response::Busy),
-            None => Err(Response::Error {
+            None => Err(self.held_here(name).unwrap_or_else(|| Response::Error {
                 code: ErrorCode::UnknownStream,
                 message: format!("unknown stream {name:?}"),
-            }),
+            })),
         }
+    }
+
+    /// NotPrimary for a name this node holds as a replica, which the
+    /// registry never serves: clients fail over without a resync, where
+    /// UnknownStream would send them re-creating a stream alive elsewhere.
+    fn held_here(&self, name: &str) -> Option<Response> {
+        self.replica_handler.get()?.holds(name).then(|| Response::Error {
+            code: ErrorCode::NotPrimary,
+            message: format!("stream {name:?} is held as a replica on this node"),
+        })
     }
 
     /// Non-blocking enqueue on the owning worker (a shipment: on the
@@ -2157,15 +2182,17 @@ impl Router {
     /// batch buffer recycles into the pool and its reservation, if any,
     /// rolls back.
     pub(crate) fn submit(&self, dispatch: Dispatch, reply: ReplyTo) -> Option<Response> {
-        let Dispatch { op, entry, reservation } = dispatch;
-        let Some(entry) = entry else {
-            // A shipment: unbounded by design (see the module docs).
-            let job = Job { stream: 0, op, reply, reservation, stats: None };
-            let sent = self.applier.as_ref().is_some_and(|applier| applier.send(job).is_ok());
-            return (!sent).then(shutting_down);
+        let (op, entry, reservation) = match dispatch {
+            Dispatch::Stream { op, entry, reservation } => (op, entry, reservation),
+            Dispatch::Shipment(shipment) => {
+                // Unbounded by design (see the module docs).
+                let queued = (shipment, reply, Instant::now());
+                let sent = self.applier.as_ref().is_some_and(|tx| tx.send(queued).is_ok());
+                return (!sent).then(shutting_down);
+            }
         };
-        let stats = matches!(op, StreamOp::Stats).then(|| entry.clone());
-        let job = Job { stream: entry.id, op, reply, reservation, stats };
+        let stats = matches!(op, StreamOp::Stats).then(|| Arc::clone(&entry.busy));
+        let job = Job { stream: entry.id, op, reply, reservation, stats, enqueued: Instant::now() };
         let worker = entry.worker;
         let (job, response) = match self.senders[worker].try_send(job) {
             Ok(()) => {
@@ -2394,6 +2421,7 @@ mod tests {
             reply: ReplyTo::Channel(reply_tx),
             reservation: None,
             stats: None,
+            enqueued: Instant::now(),
         };
         server.router.senders[worker].send(job).unwrap();
         match reply_rx.recv().unwrap() {
@@ -2608,6 +2636,7 @@ mod tests {
             reply: ReplyTo::Channel(reply_tx),
             reservation: None,
             stats: None,
+            enqueued: Instant::now(),
         };
         server.router.senders[worker].send(job).unwrap();
         assert!(matches!(reply_rx.recv().unwrap(), Response::Error { code: ErrorCode::Other, .. }));
@@ -2791,7 +2820,14 @@ mod tests {
             (entry.worker, entry.id)
         };
         assert_eq!(worker, 0, "round-robin placement: the next create lands on worker 1");
-        let job = |op, reply| Job { stream: id, op, reply, reservation: None, stats: None };
+        let job = |op, reply| Job {
+            stream: id,
+            op,
+            reply,
+            reservation: None,
+            stats: None,
+            enqueued: Instant::now(),
+        };
         // Park the old worker on a rendezvous reply, then queue two feeds
         // behind it: they are still queued when the demote frees the name.
         let (park_tx, park_rx) = mpsc::sync_channel(0);
@@ -2842,7 +2878,14 @@ mod tests {
         let next = reference.floor_estimate();
         assert_ne!(released, next, "the queued feed must move the floor");
         let id = server.router.registry.streams.lock().unwrap().get("s").unwrap().id;
-        let job = |op, reply| Job { stream: id, op, reply, reservation: None, stats: None };
+        let job = |op, reply| Job {
+            stream: id,
+            op,
+            reply,
+            reservation: None,
+            stats: None,
+            enqueued: Instant::now(),
+        };
         // Park the worker on a rendezvous reply and queue a feed behind it.
         let (park_tx, park_rx) = mpsc::sync_channel(0);
         server.router.senders[0].send(job(StreamOp::Sample, ReplyTo::Channel(park_tx))).unwrap();

@@ -4,13 +4,17 @@
 //! create on a worker, the shipment on the replica applier) and reply
 //! through completions, so the reactor answers everyone else —
 //! here, a `Metrics` round trip on a second connection — while the slow
-//! job is still running.
+//! job is still running. And routing asks the replica side only about
+//! names the registry does not serve: a replica handler slow to answer
+//! `holds` stalls no op on a served stream.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+use uns_core::NodeId;
+use uns_service::error::ServiceError;
 use uns_service::protocol::{EstimatorKind, HashFamilyKind, Request, Response, StreamConfig};
 use uns_service::server::{DurabilityConfig, ReplicaHandler, Server, ServerConfig};
 use uns_service::storage::{MemBackend, StorageBackend, WalStore};
@@ -54,8 +58,34 @@ impl StorageBackend for SlowWal {
     }
 }
 
-/// A replica handler whose every shipment takes [`STALL`].
-struct SlowReplica;
+/// The one stream name [`SlowReplica`] holds.
+const HELD: &str = "held";
+
+/// A replica handler whose every shipment takes [`STALL`], holding only
+/// [`HELD`]; its `holds` parks while [`SlowReplica::park_holds`]'s guard
+/// lives.
+#[derive(Default)]
+struct SlowReplica {
+    holds_parked: Mutex<bool>,
+    unparked: Condvar,
+}
+
+impl SlowReplica {
+    fn park_holds(&self) -> HoldsParked<'_> {
+        *self.holds_parked.lock().expect("park lock") = true;
+        HoldsParked(self)
+    }
+}
+
+/// Unparks [`SlowReplica::holds`] when dropped, failing assertions too.
+struct HoldsParked<'a>(&'a SlowReplica);
+
+impl Drop for HoldsParked<'_> {
+    fn drop(&mut self) {
+        *self.0.holds_parked.lock().expect("park lock") = false;
+        self.0.unparked.notify_all();
+    }
+}
 
 impl ReplicaHandler for SlowReplica {
     fn apply(
@@ -70,8 +100,22 @@ impl ReplicaHandler for SlowReplica {
         Response::ReplState { generation, next_seq: first_seq }
     }
 
-    fn holds(&self, _stream: &str) -> bool {
-        false
+    fn holds(&self, stream: &str) -> bool {
+        let mut parked = self.holds_parked.lock().expect("park lock");
+        while *parked {
+            parked = self.unparked.wait(parked).expect("park lock");
+        }
+        stream == HELD
+    }
+}
+
+/// Stops the server when dropped, so a failing assertion unwinds out of
+/// the scope that serves it instead of waiting on its reactor forever.
+struct StopOnDrop<'a>(&'a Server);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.stop();
     }
 }
 
@@ -132,11 +176,50 @@ fn a_slow_durable_create_does_not_stall_other_connections() {
 #[test]
 fn a_slow_replica_shipment_does_not_stall_other_connections() {
     let server = Server::start(ServerConfig { workers: 1, queue_depth: 8 });
-    server.set_replica_handler(Some(Arc::new(SlowReplica)));
+    server.set_replica_handler(Arc::new(SlowReplica::default())).expect("install");
     let mut ship = Vec::new();
     Request::Replicate { name: "r", generation: 1, first_seq: 4, snapshot: None, records: &[] }
         .encode(&mut ship);
     let (elapsed, reply) = race(&server, &ship);
     assert_eq!(reply, Response::ReplState { generation: 1, next_seq: 4 });
     assert!(elapsed < BOUND, "a {STALL:?} shipment stalled another connection for {elapsed:?}");
+}
+
+#[test]
+fn a_replica_handler_slow_to_answer_holds_stalls_no_served_stream() {
+    let server = Server::start(ServerConfig { workers: 1, queue_depth: 8 });
+    let replica = Arc::new(SlowReplica::default());
+    server.set_replica_handler(Arc::clone(&replica) as Arc<dyn ReplicaHandler>).expect("install");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::scope(|scope| {
+        let reactor = scope.spawn(|| server.serve_reactor(listener, ReactorConfig::default()));
+        let stop = StopOnDrop(&server);
+        let mut client = ServiceClient::new(connect(addr)).expect("client");
+        client.set_op_timeout(Some(Duration::from_secs(2))).expect("op timeout");
+        let config = StreamConfig {
+            kind: EstimatorKind::CountMin,
+            capacity: 8,
+            width: 16,
+            depth: 4,
+            seed: 3,
+            family: HashFamilyKind::Mersenne,
+        };
+        client.create_stream("served", &config).expect("create");
+        let ids: Vec<NodeId> = (0..64u64).map(NodeId::new).collect();
+        {
+            // While `holds` is parked, a feed on the served stream answers:
+            // routing never asks the replica side about it.
+            let _parked = replica.park_holds();
+            let started = Instant::now();
+            client.feed_batch("served", &ids).expect("the feed answers while holds is parked");
+            let elapsed = started.elapsed();
+            assert!(elapsed < BOUND, "a parked holds stalled a served stream for {elapsed:?}");
+        }
+        // A create of a held name still asks, and still bounces.
+        let err = client.create_stream(HELD, &config).expect_err("a held name is not created");
+        assert!(matches!(err, ServiceError::NotPrimary(_)), "expected NotPrimary, got {err:?}");
+        drop(stop);
+        reactor.join().expect("reactor thread").expect("reactor exit");
+    });
 }
