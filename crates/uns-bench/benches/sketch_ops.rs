@@ -245,33 +245,38 @@ fn bench_fused(c: &mut Criterion) {
 }
 
 fn bench_row_updates(c: &mut Criterion) {
-    // The chunked index-precompute row updates of both sketches' fused
-    // record paths.
+    // The fused record paths' row kernels on both sides of the 16-row
+    // switch: depths up to 16 run a kernel compiled for that depth, deeper
+    // sketches the one compiled for any depth.
     let ids = ids();
     let mut group = c.benchmark_group("sketch_row_updates");
     group.throughput(Throughput::Elements(STREAM_LEN as u64));
-    group.bench_function("count_min_unrolled", |b| {
-        b.iter(|| {
-            let mut sketch = CountMinSketch::with_dimensions(10, 5, 1).unwrap();
-            let mut acc = 0u64;
-            for &id in &ids {
-                let (estimate, floor) = sketch.record_and_estimate(id);
-                acc = acc.wrapping_add(estimate).wrapping_add(floor);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("count_sketch_unrolled", |b| {
-        b.iter(|| {
-            let mut sketch = CountSketch::with_dimensions(50, 10, 1).unwrap();
-            let mut acc = 0u64;
-            for &id in &ids {
-                let (estimate, floor) = sketch.record_and_estimate(id);
-                acc = acc.wrapping_add(estimate).wrapping_add(floor);
-            }
-            black_box(acc)
-        })
-    });
+    for (k, s) in [(10usize, 5usize), (10, 20)] {
+        group.bench_function(format!("count_min_k{k}_s{s}"), |b| {
+            b.iter(|| {
+                let mut sketch = CountMinSketch::with_dimensions(k, s, 1).unwrap();
+                let mut acc = 0u64;
+                for &id in &ids {
+                    let (estimate, floor) = sketch.record_and_estimate(id);
+                    acc = acc.wrapping_add(estimate).wrapping_add(floor);
+                }
+                black_box(acc)
+            })
+        });
+    }
+    for (k, s) in [(50usize, 10usize), (50, 20)] {
+        group.bench_function(format!("count_sketch_k{k}_s{s}"), |b| {
+            b.iter(|| {
+                let mut sketch = CountSketch::with_dimensions(k, s, 1).unwrap();
+                let mut acc = 0u64;
+                for &id in &ids {
+                    let (estimate, floor) = sketch.record_and_estimate(id);
+                    acc = acc.wrapping_add(estimate).wrapping_add(floor);
+                }
+                black_box(acc)
+            })
+        });
+    }
     group.finish();
 }
 

@@ -30,7 +30,12 @@
 //!   the sketch is hashed once per element (the lock-step `cobegin` needs
 //!   both `f̂_j` and `min_σ` anyway — recording and estimating separately
 //!   would hash everything twice), and `min_σ` is an O(1) read off the
-//!   estimator's floor engine rather than a counter scan;
+//!   estimator's floor engine rather than a counter scan. Both sketches
+//!   compile that record once per depth up to 16 rows: the depth is
+//!   matched once per element, and the row loop of each instantiation runs
+//!   straight-line with no length checks (Count-Min hashes every row before
+//!   it writes the first cell, so the hash arithmetic never waits behind
+//!   the floor engine's branches);
 //! * the sampler's per-element coins (one insertion coin, one output draw)
 //!   come from a pluggable RNG `R`, defaulting to **blocked** xoshiro256++
 //!   ([`rand::rngs::BlockRng`]`<`[`rand::rngs::SmallRng`]`>`): the

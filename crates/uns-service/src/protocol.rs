@@ -147,8 +147,12 @@ impl<'a> IdsView<'a> {
 /// be rejected by the frame-length cap long before).
 pub fn put_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
     put_u32(out, u32::try_from(ids.len()).expect("batch exceeds u32::MAX identifiers"));
-    for id in ids {
-        put_u64(out, id.as_u64());
+    // One reservation and one pass over fixed 8-byte slots: no per-id
+    // capacity check, so the loop compiles to plain stores.
+    let start = out.len();
+    out.resize(start + 8 * ids.len(), 0);
+    for (slot, id) in out[start..].chunks_exact_mut(8).zip(ids) {
+        slot.copy_from_slice(&id.as_u64().to_le_bytes());
     }
 }
 
@@ -784,6 +788,33 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `put_ids` writes the same bytes as a count prefix followed by
+        /// one `put_u64` per id, after whatever the buffer already holds,
+        /// for any batch and its empty and one-id prefixes.
+        #[test]
+        fn put_ids_matches_the_per_id_encoding(
+            raw in vec(any::<u64>(), 0..64),
+            head in vec(any::<u8>(), 0..8),
+        ) {
+            let ids: Vec<NodeId> = raw.into_iter().map(NodeId::new).collect();
+            for batch in [&ids[..0], &ids[..ids.len().min(1)], &ids[..]] {
+                let mut per_id = head.clone();
+                put_u32(&mut per_id, batch.len() as u32);
+                for id in batch {
+                    put_u64(&mut per_id, id.as_u64());
+                }
+                let mut one_pass = head.clone();
+                put_ids(&mut one_pass, batch);
+                prop_assert_eq!(one_pass, per_id);
+            }
+        }
+    }
 
     fn round_trip_request(request: &Request<'_>) -> Vec<u8> {
         let mut body = Vec::new();

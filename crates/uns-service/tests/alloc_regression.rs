@@ -23,6 +23,9 @@
 //! A third test runs the long feed session over reactor TCP, where the
 //! worker encodes each Fed reply into its thread's reused frame buffer and
 //! writes it to the socket itself, under the same two bounds.
+//!
+//! A fourth pins the sketches' record paths to zero bytes at every depth,
+//! on both sides of the 16-row switch to the unspecialised row loop.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -201,6 +204,52 @@ fn metrics_hot_path_allocates_zero_bytes_per_update() {
         allocated, 0,
         "metrics hot path allocated {allocated} bytes over 10k updates; it must be atomics only"
     );
+}
+
+/// The sketches' record paths, which every fed id runs through, allocate
+/// **zero** bytes at every depth: up to 16 rows the per-depth kernels keep
+/// their per-row buffers on the stack, and deeper sketches reuse buffers
+/// sized when the sketch was built.
+#[test]
+fn sketch_record_paths_allocate_zero_bytes_at_every_depth() {
+    use uns_sketch::{CountMinSketch, CountSketch, UpdatePolicy};
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let ids: Vec<u64> = (0..512u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % 300).collect();
+    for depth in 1..=20usize {
+        for family in [HashFamilyKind::Mersenne, HashFamilyKind::MultiplyShift] {
+            let count_min = |policy| {
+                CountMinSketch::with_dimensions_family(32, depth, 5, family)
+                    .expect("valid dimensions")
+                    .with_policy(policy)
+            };
+            let mut standard = count_min(UpdatePolicy::Standard);
+            let mut conservative = count_min(UpdatePolicy::Conservative);
+            let mut count_sketch = CountSketch::with_dimensions_family(32, depth, 5, family)
+                .expect("valid dimensions");
+
+            COUNT_THIS_THREAD.with(|flag| flag.set(true));
+            let before = THREAD_BYTES.load(Ordering::Relaxed);
+            let mut acc = 0u64;
+            for &id in &ids {
+                for sketch in [&mut standard, &mut conservative] {
+                    let (estimate, floor) = sketch.record_and_estimate(id);
+                    sketch.record_many(id, 3);
+                    acc = acc.wrapping_add(estimate ^ floor);
+                }
+                let (estimate, floor) = count_sketch.record_and_estimate(id);
+                count_sketch.record_many(id, 2);
+                acc = acc.wrapping_add(estimate ^ floor);
+            }
+            count_sketch.record_unfloored(&ids);
+            let allocated = THREAD_BYTES.load(Ordering::Relaxed) - before;
+            COUNT_THIS_THREAD.with(|flag| flag.set(false));
+            std::hint::black_box(acc);
+            assert_eq!(
+                allocated, 0,
+                "depth {depth}, {family:?}: the record paths allocated {allocated} bytes"
+            );
+        }
+    }
 }
 
 #[test]

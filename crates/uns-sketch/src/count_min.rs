@@ -14,36 +14,11 @@
 //! the floor `min_σ` (Algorithm 3, line 6) — the minimum over the touched
 //! counters of `F̂` — which this implementation tracks in amortized O(1).
 
+use crate::depth::{row_buffer, with_depth_rows, MAX_FIXED_DEPTH};
 use crate::error::SketchError;
 use crate::hash::{with_family_rows, FamilyRowHashes, HashFamily, HashFamilyKind, PreparedRowHash};
 use crate::min_tracker::{FloorTracker, MonotoneFloorTracker};
 use crate::FrequencyEstimator;
-
-/// Rows per index-precompute chunk on the record hot paths. The index pass
-/// is pure multiply-shift arithmetic with no cross-row dependency, so
-/// separating it from the cell writes lets the compiler unroll and
-/// software-pipeline it; 8 rows of indices live comfortably in registers.
-pub(crate) const ROW_CHUNK: usize = 8;
-
-/// Computes the absolute row-major cell index touched in each of (at most
-/// `ROW_CHUNK`) consecutive rows starting at `first_row`, for an identifier
-/// prepared by the rows' family ([`HashFamilyKind::prepare`]). Entries past
-/// `hashes.len()` are unused padding. Generic over the concrete row type so
-/// each hash family gets its own dispatch-free instantiation.
-#[inline]
-fn chunk_cell_indices<H: PreparedRowHash>(
-    hashes: &[H],
-    width: usize,
-    first_row: usize,
-    prepared: u64,
-) -> [usize; ROW_CHUNK] {
-    debug_assert!(hashes.len() <= ROW_CHUNK);
-    let mut idx = [0usize; ROW_CHUNK];
-    for (i, h) in hashes.iter().enumerate() {
-        idx[i] = (first_row + i) * width + h.eval_prepared(prepared) as usize;
-    }
-    idx
-}
 
 /// Per-cell update rule of one `record_many` call, resolved from the
 /// sketch's [`UpdatePolicy`] before the row loop starts (conservative
@@ -56,62 +31,77 @@ enum RowUpdate {
     Conservative { target: u64 },
 }
 
-/// The chunked per-row update loop behind [`CountMinSketch::record_many`],
-/// instantiated once per hash family (no row dispatch inside). Returns
-/// whether the floor engine went stale and needs a rebuild.
-#[inline]
+/// The absolute row-major index of the cell that row `row` (hash `h`)
+/// maps a family-prepared identifier to.
+#[inline(always)]
+fn cell_index<H: PreparedRowHash>(h: &H, row: usize, width: usize, prepared: u64) -> usize {
+    row * width + h.eval_prepared(prepared) as usize
+}
+
+/// The row loop of every hashed Count-Min record ([`CountMinSketch::record_many`],
+/// [`CountMinSketch::record_and_estimate`]). An index pass hashes every row
+/// into `touched` before the cell pass ([`update_cells`]) writes any cell,
+/// so the hash arithmetic never waits behind the floor engine's branches.
+/// Compiled once per hash family and per depth (see [`crate::depth`]): up
+/// to 16 rows both passes run straight-line and the indices stay in
+/// registers; past that they go to `deep_touched`.
+#[inline(always)]
 fn update_rows<H: PreparedRowHash>(
-    hashes: &[H],
+    rows: &[H],
     cells: &mut [u64],
     floor: &mut MonotoneFloorTracker,
+    deep_touched: &mut [usize],
     width: usize,
     prepared: u64,
     update: RowUpdate,
-) -> bool {
-    let mut stale = false;
-    let mut first_row = 0;
-    for hash_chunk in hashes.chunks(ROW_CHUNK) {
-        let idx = chunk_cell_indices(hash_chunk, width, first_row, prepared);
-        for &cell_idx in &idx[..hash_chunk.len()] {
-            let old = cells[cell_idx];
-            let new = match update {
-                RowUpdate::Standard { count } => old.saturating_add(count),
-                RowUpdate::Conservative { target } => old.max(target),
-            };
-            cells[cell_idx] = new;
-            stale |= floor.on_increase(old, new);
-        }
-        first_row += hash_chunk.len();
+) -> (u64, bool) {
+    let mut stack = [0; MAX_FIXED_DEPTH];
+    let touched = row_buffer(&mut stack, deep_touched, rows.len());
+    for (row, (h, idx)) in rows.iter().zip(touched.iter_mut()).enumerate() {
+        *idx = cell_index(h, row, width, prepared);
     }
-    stale
+    update_cells(touched.iter().copied(), cells, floor, update)
 }
 
-/// The chunked update-and-running-min loop behind the standard-policy arm
-/// of [`CountMinSketch::record_and_estimate`], instantiated once per hash
-/// family. Returns `(post-record estimate, floor went stale)`.
-#[inline]
-fn update_rows_estimating<H: PreparedRowHash>(
-    hashes: &[H],
+/// Applies `update` to each touched cell. Returns `(post-record estimate,
+/// floor went stale)`: the smallest touched cell after the update, which is
+/// the estimate under both policies (after a conservative update every
+/// touched cell is ≥ its target and the smallest is the target).
+#[inline(always)]
+fn update_cells(
+    touched: impl IntoIterator<Item = usize>,
     cells: &mut [u64],
     floor: &mut MonotoneFloorTracker,
-    width: usize,
-    prepared: u64,
+    update: RowUpdate,
 ) -> (u64, bool) {
+    // A local copy: the compiler cannot tell the tracker from the cells it
+    // writes, and would otherwise reload and store its fields every row.
+    let mut tracker = floor.clone();
     let mut estimate = u64::MAX;
     let mut stale = false;
-    let mut first_row = 0;
-    for hash_chunk in hashes.chunks(ROW_CHUNK) {
-        let idx = chunk_cell_indices(hash_chunk, width, first_row, prepared);
-        for &cell_idx in &idx[..hash_chunk.len()] {
-            let old = cells[cell_idx];
-            let new = old.saturating_add(1);
-            cells[cell_idx] = new;
-            estimate = estimate.min(new);
-            stale |= floor.on_increase(old, new);
-        }
-        first_row += hash_chunk.len();
+    for idx in touched {
+        let old = cells[idx];
+        let new = match update {
+            RowUpdate::Standard { count } => old.saturating_add(count),
+            RowUpdate::Conservative { target } => old.max(target),
+        };
+        cells[idx] = new;
+        estimate = estimate.min(new);
+        stale |= tracker.on_increase(old, new);
     }
+    *floor = tracker;
     (estimate, stale)
+}
+
+/// The minimum over the rows' cells: the point query
+/// `f̂ = min_v F̂[v][h_v(j)]`, compiled like [`update_rows`].
+#[inline(always)]
+fn query_rows<H: PreparedRowHash>(rows: &[H], cells: &[u64], width: usize, prepared: u64) -> u64 {
+    rows.iter()
+        .enumerate()
+        .map(|(row, h)| cells[cell_index(h, row, width, prepared)])
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 /// How counters are incremented on [`CountMinSketch::record`].
@@ -155,7 +145,7 @@ pub struct CountMinSketch {
     /// Row-major `depth × width` counter matrix.
     cells: Vec<u64>,
     /// Row functions in the per-family monomorphic storage form, so every
-    /// chunked record loop instantiates without per-row enum dispatch.
+    /// per-depth record loop instantiates without per-row enum dispatch.
     hashes: FamilyRowHashes,
     total: u64,
     seed: u64,
@@ -165,6 +155,11 @@ pub struct CountMinSketch {
     /// *touched* (non-zero) cells, plus the count of still-zero cells.
     /// Count-Min cells are monotone, so the monotone tracker applies.
     floor: MonotoneFloorTracker,
+    /// Reusable touched-cell buffer of the record row loop for sketches
+    /// deeper than [`MAX_FIXED_DEPTH`] rows (`depth` long; empty otherwise,
+    /// where the indices stay on the stack), keeping steady-state ingestion
+    /// allocation-free at any depth.
+    deep_touched: Vec<usize>,
     /// Debug-build cross-check schedule (see `debug_cross_check`).
     #[cfg(debug_assertions)]
     debug_ticks: u64,
@@ -244,6 +239,7 @@ impl CountMinSketch {
             family,
             policy: UpdatePolicy::Standard,
             floor: MonotoneFloorTracker::new(cell_count),
+            deep_touched: vec![0; if depth > MAX_FIXED_DEPTH { depth } else { 0 }],
             #[cfg(debug_assertions)]
             debug_ticks: 0,
         })
@@ -269,24 +265,22 @@ impl CountMinSketch {
     }
 
     /// [`CountMinSketch::record_many`] on a family-prepared identifier
-    /// (shared preparation across rows and across the record/estimate pair).
-    fn record_many_prepared(&mut self, prepared: u64, count: u64) {
+    /// (shared preparation across rows and across the record/estimate
+    /// pair). Returns the post-record estimate.
+    fn record_many_prepared(&mut self, prepared: u64, count: u64) -> u64 {
         let update = match self.policy {
             UpdatePolicy::Standard => RowUpdate::Standard { count },
             UpdatePolicy::Conservative => RowUpdate::Conservative {
                 target: self.point_query_prepared(prepared).saturating_add(count),
             },
         };
-        let Self { ref hashes, ref mut cells, ref mut floor, width, .. } = *self;
-        let stale = with_family_rows!(hashes, rows => {
-            update_rows(rows, cells, floor, width, prepared, update)
+        let Self { ref hashes, ref mut cells, ref mut floor, ref mut deep_touched, width, .. } =
+            *self;
+        let (estimate, stale) = with_depth_rows!(hashes, rows => {
+            update_rows(rows, cells, floor, deep_touched, width, prepared, update)
         });
-        self.total = self.total.saturating_add(count);
-        if stale {
-            self.floor.rebuild(self.cells.iter().copied());
-        }
-        #[cfg(debug_assertions)]
-        self.debug_cross_check();
+        self.finish_record(count, stale);
+        estimate
     }
 
     /// Records one occurrence of `id` and returns `(f̂_id, min_σ)` — the
@@ -297,53 +291,50 @@ impl CountMinSketch {
     /// element, and computing them during the record loop halves the hashing
     /// work versus `record` followed by `estimate` (each row index is
     /// computed once instead of twice, and the identifier is folded into the
-    /// field once instead of `2s` times). The row indices are computed in
-    /// chunks of `ROW_CHUNK` *before* the cell writes (see
-    /// `chunk_cell_indices`), so the hash arithmetic pipelines
-    /// independently of the loads and stores it feeds.
+    /// field once instead of `2s` times). The row loop is compiled for the
+    /// sketch's exact depth up to 16 rows, so it runs straight-line, and
+    /// every row index is computed before the first cell write, so the hash
+    /// arithmetic never waits behind the loads and stores it feeds.
     ///
     /// Equivalent to `record(id)` then `(estimate(id), floor_estimate())`
     /// under both update policies.
     pub fn record_and_estimate(&mut self, id: u64) -> (u64, u64) {
-        let prepared = self.family.prepare(id);
-        match self.policy {
-            UpdatePolicy::Standard => {
-                let (estimate, stale) = {
-                    let Self { ref hashes, ref mut cells, ref mut floor, width, .. } = *self;
-                    with_family_rows!(hashes, rows => {
-                        update_rows_estimating(rows, cells, floor, width, prepared)
-                    })
-                };
-                self.total = self.total.saturating_add(1);
-                if stale {
-                    self.floor.rebuild(self.cells.iter().copied());
-                }
-                #[cfg(debug_assertions)]
-                self.debug_cross_check();
-                (estimate, self.floor.floor())
-            }
-            UpdatePolicy::Conservative => {
-                // Conservative update already needs the pre-record estimate;
-                // after the update every touched cell is ≥ target, and the
-                // post-record estimate is exactly the target.
-                self.record_many_prepared(prepared, 1);
-                (self.point_query_prepared(prepared), self.floor.floor())
-            }
-        }
+        let estimate = self.record_many_prepared(self.family.prepare(id), 1);
+        (estimate, self.floor.floor())
     }
 
-    /// The pre-chunking scalar form of
-    /// [`CountMinSketch::record_and_estimate`]: one rolled loop that hashes
-    /// a row and immediately writes its cell — under **both** update
-    /// policies, so neither arm shares code with the chunked path under
-    /// test. The reference the unrolled path is differential-tested
-    /// against; behaviourally identical.
+    /// The bookkeeping after a record's cell pass: the stream length, the
+    /// floor engine's rebuild when the pass left it stale, and the debug
+    /// cross-check.
+    fn finish_record(&mut self, count: u64, stale: bool) {
+        self.total = self.total.saturating_add(count);
+        if stale {
+            self.floor.rebuild(self.cells.iter().copied());
+        }
+        #[cfg(debug_assertions)]
+        self.debug_cross_check();
+    }
+
+    /// The rolled scalar form of [`CountMinSketch::record_and_estimate`]:
+    /// [`CountMinSketch::record_many_rowwise`] of one occurrence, then the
+    /// floor.
     #[cfg(test)]
     fn record_and_estimate_rowwise(&mut self, id: u64) -> (u64, u64) {
+        (self.record_many_rowwise(id, 1), self.floor.floor())
+    }
+
+    /// The rolled scalar form of [`CountMinSketch::record_many`]: one loop
+    /// over `0..depth` that dispatches each row's family, hashes it and
+    /// immediately writes its cell — under **both** update policies, so
+    /// nothing is shared with the per-depth kernels under test. The
+    /// reference those kernels are differential-tested against. Returns
+    /// the post-record estimate.
+    #[cfg(test)]
+    fn record_many_rowwise(&mut self, id: u64, count: u64) -> u64 {
         let prepared = self.family.prepare(id);
         let target = match self.policy {
             UpdatePolicy::Standard => 0, // unused
-            UpdatePolicy::Conservative => self.point_query_prepared(prepared).saturating_add(1),
+            UpdatePolicy::Conservative => self.point_query_rowwise(id).saturating_add(count),
         };
         let mut estimate = u64::MAX;
         let mut stale = false;
@@ -351,7 +342,7 @@ impl CountMinSketch {
             let idx = self.cell_index_prepared(row, prepared);
             let old = self.cells[idx];
             let new = match self.policy {
-                UpdatePolicy::Standard => old.saturating_add(1),
+                UpdatePolicy::Standard => old.saturating_add(count),
                 // After `max(target)` every touched cell is ≥ target and
                 // the minimal one is exactly target, so the running min
                 // below is the post-record estimate for this policy too.
@@ -361,13 +352,13 @@ impl CountMinSketch {
             estimate = estimate.min(new);
             stale |= self.floor.on_increase(old, new);
         }
-        self.total = self.total.saturating_add(1);
+        self.total = self.total.saturating_add(count);
         if stale {
             self.floor.rebuild(self.cells.iter().copied());
         }
         #[cfg(debug_assertions)]
         self.debug_cross_check();
-        (estimate, self.floor.floor())
+        estimate
     }
 
     /// Appends, for every row, the absolute (row-major) index of the cell
@@ -390,9 +381,7 @@ impl CountMinSketch {
         );
         let prepared = self.family.prepare(id);
         with_family_rows!(&self.hashes, rows => out.extend(
-            rows.iter()
-                .enumerate()
-                .map(|(row, h)| (row * self.width + h.eval_prepared(prepared) as usize) as u32),
+            rows.iter().enumerate().map(|(row, h)| cell_index(h, row, self.width, prepared) as u32),
         ));
     }
 
@@ -409,33 +398,20 @@ impl CountMinSketch {
     /// both indicate a log from an incompatible sketch.
     pub fn record_at_cells(&mut self, touched: &[u32]) -> (u64, u64) {
         assert_eq!(touched.len(), self.depth, "delta-log entry does not match sketch depth");
-        let target = match self.policy {
-            UpdatePolicy::Standard => 0, // unused
-            UpdatePolicy::Conservative => touched
-                .iter()
-                .map(|&idx| self.cells[idx as usize])
-                .min()
-                .unwrap_or(0)
-                .saturating_add(1),
+        let update = match self.policy {
+            UpdatePolicy::Standard => RowUpdate::Standard { count: 1 },
+            UpdatePolicy::Conservative => RowUpdate::Conservative {
+                target: touched
+                    .iter()
+                    .map(|&idx| self.cells[idx as usize])
+                    .min()
+                    .unwrap_or(0)
+                    .saturating_add(1),
+            },
         };
-        let mut estimate = u64::MAX;
-        let mut stale = false;
-        for &idx in touched {
-            let old = self.cells[idx as usize];
-            let new = match self.policy {
-                UpdatePolicy::Standard => old.saturating_add(1),
-                UpdatePolicy::Conservative => old.max(target),
-            };
-            self.cells[idx as usize] = new;
-            estimate = estimate.min(new);
-            stale |= self.floor.on_increase(old, new);
-        }
-        self.total = self.total.saturating_add(1);
-        if stale {
-            self.floor.rebuild(self.cells.iter().copied());
-        }
-        #[cfg(debug_assertions)]
-        self.debug_cross_check();
+        let touched = touched.iter().map(|&idx| idx as usize);
+        let (estimate, stale) = update_cells(touched, &mut self.cells, &mut self.floor, update);
+        self.finish_record(1, stale);
         (estimate, self.floor.floor())
     }
 
@@ -488,13 +464,23 @@ impl CountMinSketch {
         self.point_query_prepared(self.family.prepare(id))
     }
 
+    /// The rolled form of [`CountMinSketch::point_query`], the reference
+    /// its per-depth kernel is differential-tested against.
+    #[cfg(test)]
+    fn point_query_rowwise(&self, id: u64) -> u64 {
+        let prepared = self.family.prepare(id);
+        (0..self.depth)
+            .map(|row| self.cells[self.cell_index_prepared(row, prepared)])
+            .min()
+            .unwrap()
+    }
+
     #[inline]
     fn point_query_prepared(&self, prepared: u64) -> u64 {
-        let mut est = u64::MAX;
-        for row in 0..self.depth {
-            est = est.min(self.cells[self.cell_index_prepared(row, prepared)]);
-        }
-        est
+        let Self { ref hashes, ref cells, width, .. } = *self;
+        with_depth_rows!(hashes, rows => {
+            query_rows(rows, cells, width, prepared)
+        })
     }
 
     /// Number of columns `k` per row.
@@ -671,7 +657,7 @@ impl CountMinSketch {
         Ok(())
     }
 
-    #[inline]
+    #[cfg(test)]
     fn cell_index_prepared(&self, row: usize, prepared: u64) -> usize {
         row * self.width + self.hashes.eval_row(row, prepared) as usize
     }
@@ -887,22 +873,47 @@ mod tests {
 
     #[test]
     fn rowwise_reference_matches_unrolled_record_and_estimate() {
-        for policy in [UpdatePolicy::Standard, UpdatePolicy::Conservative] {
-            // Depth 11 forces a ragged final index chunk (11 = 8 + 3).
-            let mut unrolled =
-                CountMinSketch::with_dimensions(16, 11, 3).unwrap().with_policy(policy);
-            let mut rowwise = unrolled.clone();
-            let mut rng = StdRng::seed_from_u64(41);
-            for step in 0..4_000 {
-                let id = rng.gen_range(0..96u64);
-                assert_eq!(
-                    unrolled.record_and_estimate(id),
-                    rowwise.record_and_estimate_rowwise(id),
-                    "step {step} ({policy:?})"
-                );
+        // Depths 1..=16 each run their own kernel instantiation; 17..=20
+        // run the slice fallback with its heap index buffer.
+        for depth in 1..=20usize {
+            for family in [HashFamilyKind::Mersenne, HashFamilyKind::MultiplyShift] {
+                for policy in [UpdatePolicy::Standard, UpdatePolicy::Conservative] {
+                    let case = format!("depth {depth}, {family:?}, {policy:?}");
+                    let mut unrolled =
+                        CountMinSketch::with_dimensions_family(16, depth, 3 + depth as u64, family)
+                            .unwrap()
+                            .with_policy(policy);
+                    let mut rowwise = unrolled.clone();
+                    let mut rng = StdRng::seed_from_u64(41 + depth as u64);
+                    for step in 0..600 {
+                        let id = rng.gen_range(0..96u64);
+                        if step % 4 == 3 {
+                            let count = rng.gen_range(1..5u64);
+                            unrolled.record_many(id, count);
+                            rowwise.record_many_rowwise(id, count);
+                        } else {
+                            assert_eq!(
+                                unrolled.record_and_estimate(id),
+                                rowwise.record_and_estimate_rowwise(id),
+                                "step {step}, {case}"
+                            );
+                        }
+                        let probe = rng.gen_range(0..128u64);
+                        assert_eq!(
+                            unrolled.point_query(probe),
+                            rowwise.point_query_rowwise(probe),
+                            "query at step {step}, {case}"
+                        );
+                        assert_eq!(
+                            unrolled.floor_estimate(),
+                            rowwise.floor_estimate(),
+                            "floor at step {step}, {case}"
+                        );
+                    }
+                    assert_eq!(unrolled.cells(), rowwise.cells(), "{case}");
+                    assert_eq!(unrolled.total(), rowwise.total(), "{case}");
+                }
             }
-            assert_eq!(unrolled.cells(), rowwise.cells());
-            assert_eq!(unrolled.total(), rowwise.total());
         }
     }
 

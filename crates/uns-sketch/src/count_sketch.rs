@@ -11,53 +11,32 @@
 //! The benchmark harness compares both estimators inside the knowledge-free
 //! strategy.
 
-use crate::count_min::ROW_CHUNK;
+use crate::depth::{row_buffer, with_depth_rows, MAX_FIXED_DEPTH};
 use crate::error::SketchError;
-use crate::hash::{with_family_rows, FamilyRowHashes, HashFamily, HashFamilyKind, PreparedRowHash};
-use crate::median::{clamped_median, NETWORK_MAX_DEPTH};
+use crate::hash::{FamilyRowHashes, HashFamily, HashFamilyKind, PreparedRowHash};
+use crate::median::clamped_median;
 use crate::FrequencyEstimator;
 
-/// Splits one packed row evaluation into `(absolute cell index, sign)` for
-/// `row` of `rows` (low bit: sign; high bits: bucket). Generic over the
-/// concrete row type so each hash family gets a dispatch-free instantiation.
-#[inline]
+/// Splits row `row`'s packed evaluation (hash `h`) of a family-prepared
+/// identifier into `(absolute cell index, sign)`: the low bit is the sign,
+/// the high bits the bucket.
+#[inline(always)]
 fn cell_and_sign_of<H: PreparedRowHash>(
-    rows: &[H],
-    width: usize,
+    h: &H,
     row: usize,
+    width: usize,
     prepared: u64,
 ) -> (usize, i64) {
-    let packed = rows[row].eval_prepared(prepared);
+    let packed = h.eval_prepared(prepared);
     let idx = row * width + (packed >> 1) as usize;
     let sign = if packed & 1 == 1 { 1 } else { -1 };
     (idx, sign)
 }
 
-/// Computes the `(cell index, sign)` pair of each of (at most `ROW_CHUNK`)
-/// consecutive rows starting at `first_row` — the index-precompute pass of
-/// the chunked update paths (the packed evaluations are independent, so
-/// this pass pipelines independently of the signed cell writes it feeds).
-/// Entries past `rows.len()` are unused padding.
-#[inline]
-fn chunk_cell_signs<H: PreparedRowHash>(
-    rows: &[H],
-    width: usize,
-    first_row: usize,
-    prepared: u64,
-) -> [(usize, i64); ROW_CHUNK] {
-    debug_assert!(rows.len() <= ROW_CHUNK);
-    let mut out = [(0usize, 0i64); ROW_CHUNK];
-    for (i, pair) in out.iter_mut().enumerate().take(rows.len()) {
-        *pair = cell_and_sign_of(rows, width, i, prepared);
-        pair.0 += first_row * width;
-    }
-    out
-}
-
-/// The chunked per-row update loop behind [`CountSketch::record_many`] and
-/// [`CountSketch::record_unfloored`], instantiated once per hash family (no
-/// row dispatch inside).
-#[inline]
+/// The row loop behind [`CountSketch::record_many`] and
+/// [`CountSketch::record_unfloored`]. Compiled once per hash family and per
+/// depth (see [`crate::depth`]), so the loop runs straight-line.
+#[inline(always)]
 fn update_rows<H: PreparedRowHash>(
     rows: &[H],
     cells: &mut [i64],
@@ -65,44 +44,36 @@ fn update_rows<H: PreparedRowHash>(
     prepared: u64,
     count: i64,
 ) {
-    let mut first_row = 0;
-    for row_chunk in rows.chunks(ROW_CHUNK) {
-        let pairs = chunk_cell_signs(row_chunk, width, first_row, prepared);
-        for &(idx, sign) in &pairs[..row_chunk.len()] {
-            cells[idx] += sign * count;
-        }
-        first_row += row_chunk.len();
+    for (row, h) in rows.iter().enumerate() {
+        let (idx, sign) = cell_and_sign_of(h, row, width, prepared);
+        cells[idx] += sign * count;
     }
 }
 
-/// The chunked update loop behind [`CountSketch::record_and_estimate`]:
-/// updates each touched cell and writes its signed reading into
-/// `readings` (one per row) for the median.
-#[inline]
-fn update_rows_estimating<H: PreparedRowHash>(
+/// The clamped median of one signed reading per row, `reading_of(row, h)`,
+/// behind [`CountSketch::record_and_estimate`] and
+/// [`CountSketch::point_query`]. Compiled like [`update_rows`]; up to
+/// [`MAX_FIXED_DEPTH`] rows the readings stay on the stack, past it they go
+/// to `deep_readings` (at least `rows.len()` long).
+#[inline(always)]
+fn median_of_rows<H: PreparedRowHash>(
     rows: &[H],
-    cells: &mut [i64],
-    readings: &mut [i64],
-    width: usize,
-    prepared: u64,
-) {
-    let mut first_row = 0;
-    for row_chunk in rows.chunks(ROW_CHUNK) {
-        let pairs = chunk_cell_signs(row_chunk, width, first_row, prepared);
-        let chunk_readings = &mut readings[first_row..first_row + row_chunk.len()];
-        for (reading, &(idx, sign)) in chunk_readings.iter_mut().zip(&pairs) {
-            cells[idx] += sign;
-            *reading = sign * cells[idx];
-        }
-        first_row += row_chunk.len();
+    deep_readings: &mut [i64],
+    mut reading_of: impl FnMut(usize, &H) -> i64,
+) -> u64 {
+    let mut stack = [0; MAX_FIXED_DEPTH];
+    let readings = row_buffer(&mut stack, deep_readings, rows.len());
+    for (row, (h, reading)) in rows.iter().zip(readings.iter_mut()).enumerate() {
+        *reading = reading_of(row, h);
     }
+    clamped_median(readings)
 }
 
 /// The whole-batch loop behind [`CountSketch::record_unfloored`]: per-id
 /// preparation and all row updates run monomorphically (including
 /// [`PreparedRowHash::prepare`], so Mersenne batches inline the field fold
 /// directly).
-#[inline]
+#[inline(always)]
 fn record_batch_rows<H: PreparedRowHash>(rows: &[H], cells: &mut [i64], width: usize, ids: &[u64]) {
     for &id in ids {
         update_rows(rows, cells, width, H::prepare(id), 1);
@@ -136,17 +107,18 @@ pub struct CountSketch {
     /// of the evaluation is the row's random sign, the high bits the
     /// bucket. Packing both into one evaluation halves the hashing work of
     /// every record/query relative to separate bucket and sign families.
-    /// Stored monomorphically per family so the chunked record loops
+    /// Stored monomorphically per family so the per-depth record loops
     /// instantiate without per-row enum dispatch.
     rows: FamilyRowHashes,
     /// Which hash family `rows` was drawn from (all rows share it).
     family: HashFamilyKind,
     total: u64,
     seed: u64,
-    /// Reusable per-row readings buffer (`depth` long) for the fused
-    /// record+estimate path, keeping steady-state ingestion allocation-free
-    /// at any depth.
-    scratch: Vec<i64>,
+    /// Reusable per-row readings buffer of the fused record+estimate path
+    /// for sketches deeper than [`MAX_FIXED_DEPTH`] rows (`depth` long;
+    /// empty otherwise, where the readings stay on the stack), keeping
+    /// steady-state ingestion allocation-free at any depth.
+    deep_readings: Vec<i64>,
 }
 
 impl CountSketch {
@@ -202,14 +174,14 @@ impl CountSketch {
             family,
             total: 0,
             seed,
-            scratch: vec![0; depth],
+            deep_readings: vec![0; if depth > MAX_FIXED_DEPTH { depth } else { 0 }],
         })
     }
 
-    /// Splits one packed row evaluation into `(cell index, sign)` — the
-    /// per-row-dispatch form used by the rolled reference and query paths;
-    /// the chunked update loops run the monomorphic `cell_and_sign_of`.
-    #[inline]
+    /// Splits one packed row evaluation into `(cell index, sign)` with a
+    /// per-row family dispatch: the rolled form of `cell_and_sign_of`, for
+    /// the reference the kernels are differential-tested against.
+    #[cfg(test)]
     fn cell_and_sign(&self, row: usize, prepared: u64) -> (usize, i64) {
         let packed = self.rows.eval_row(row, prepared);
         let idx = row * self.width + (packed >> 1) as usize;
@@ -222,18 +194,22 @@ impl CountSketch {
         let prepared = self.family.prepare(id);
         let count = count as i64;
         let Self { ref rows, ref mut cells, width, .. } = *self;
-        with_family_rows!(rows, r => update_rows(r, cells, width, prepared, count));
+        with_depth_rows!(rows, r => {
+            update_rows(r, cells, width, prepared, count)
+        });
         self.total = self.total.saturating_add(count as u64);
     }
 
     /// Records a whole batch of identifiers; the counters and total end
     /// identical to calling [`FrequencyEstimator::record`] per element. The
-    /// hash family is dispatched once per batch, and the per-id preparation
-    /// and row updates run through the same chunked index-precompute as
-    /// [`CountSketch::record_and_estimate`].
+    /// hash family and the depth are dispatched once per batch, and the
+    /// per-id preparation and row updates run through the same per-depth
+    /// row loop as [`CountSketch::record_many`].
     pub fn record_unfloored(&mut self, ids: &[u64]) {
         let Self { ref rows, ref mut cells, width, .. } = *self;
-        with_family_rows!(rows, r => record_batch_rows(r, cells, width, ids));
+        with_depth_rows!(rows, r => {
+            record_batch_rows(r, cells, width, ids)
+        });
         self.total = self.total.saturating_add(ids.len() as u64);
     }
 
@@ -243,24 +219,33 @@ impl CountSketch {
     /// ablation compares identical per-element query patterns.
     ///
     /// Equivalent to `record(id)` then `(estimate(id), floor_estimate())`.
-    /// The bucket and sign indices of each row are computed once — in
-    /// chunks of `ROW_CHUNK`, ahead of the cell writes — and reused for both
-    /// the update and the signed reading. Up to 16 rows, the median of the
-    /// readings comes from a branch-free sorting network. The published
-    /// floor is the mean row load, an O(1) arithmetic read.
+    /// The bucket and sign indices of each row are computed once and reused
+    /// for both the update and the signed reading. Up to 16 rows, the row
+    /// loop is compiled for the sketch's exact depth, so it runs
+    /// straight-line, and the median of the readings comes from a
+    /// branch-free sorting network. The published floor is the mean row
+    /// load, an O(1) arithmetic read.
     pub fn record_and_estimate(&mut self, id: u64) -> (u64, u64) {
         let prepared = self.family.prepare(id);
-        let Self { ref rows, ref mut cells, ref mut scratch, width, .. } = *self;
-        with_family_rows!(rows, r => update_rows_estimating(r, cells, scratch, width, prepared));
-        let estimate = clamped_median(scratch);
+        let Self { ref rows, ref mut cells, ref mut deep_readings, width, .. } = *self;
+        // A slice, not the `Vec`: through the vector the closure would reload
+        // its pointer and length after every cell write.
+        let cells: &mut [i64] = cells;
+        let estimate = with_depth_rows!(rows, r => {
+            median_of_rows(r, deep_readings, |row, h| {
+                let (idx, sign) = cell_and_sign_of(h, row, width, prepared);
+                cells[idx] += sign;
+                sign * cells[idx]
+            })
+        });
         self.total = self.total.saturating_add(1);
         (estimate, self.sampling_floor())
     }
 
-    /// The pre-chunking scalar form of
-    /// [`CountSketch::record_and_estimate`]: one rolled loop that hashes a
-    /// row and immediately writes its cell. The reference the chunked path
-    /// is differential-tested against.
+    /// The rolled scalar form of [`CountSketch::record_and_estimate`]: one
+    /// loop over `0..depth` that dispatches each row's family, hashes it and
+    /// immediately writes its cell. The reference the per-depth kernels are
+    /// differential-tested against.
     #[cfg(test)]
     fn record_and_estimate_rowwise(&mut self, id: u64) -> (u64, u64) {
         let prepared = self.family.prepare(id);
@@ -272,6 +257,31 @@ impl CountSketch {
         }
         self.total = self.total.saturating_add(1);
         (clamped_median(&mut readings), self.sampling_floor())
+    }
+
+    /// The rolled scalar form of [`CountSketch::record_many`], the reference
+    /// for it and for [`CountSketch::record_unfloored`].
+    #[cfg(test)]
+    fn record_many_rowwise(&mut self, id: u64, count: u64) {
+        let prepared = self.family.prepare(id);
+        for row in 0..self.depth {
+            let (idx, sign) = self.cell_and_sign(row, prepared);
+            self.cells[idx] += sign * count as i64;
+        }
+        self.total = self.total.saturating_add(count);
+    }
+
+    /// The rolled scalar form of [`CountSketch::point_query`].
+    #[cfg(test)]
+    fn point_query_rowwise(&self, id: u64) -> u64 {
+        let prepared = self.family.prepare(id);
+        let mut readings: Vec<i64> = (0..self.depth)
+            .map(|row| {
+                let (idx, sign) = self.cell_and_sign(row, prepared);
+                sign * self.cells[idx]
+            })
+            .collect();
+        clamped_median(&mut readings)
     }
 
     /// The published sampling floor `min_σ`: the **mean row load**
@@ -304,19 +314,14 @@ impl CountSketch {
     /// (frequencies are non-negative). Allocation-free up to 16 rows.
     pub fn point_query(&self, id: u64) -> u64 {
         let prepared = self.family.prepare(id);
-        let mut stack = [0i64; NETWORK_MAX_DEPTH];
-        let mut heap = Vec::new();
-        let readings = if self.depth <= NETWORK_MAX_DEPTH {
-            &mut stack[..self.depth]
-        } else {
-            heap.resize(self.depth, 0);
-            &mut heap[..]
-        };
-        for (row, reading) in readings.iter_mut().enumerate() {
-            let (idx, sign) = self.cell_and_sign(row, prepared);
-            *reading = sign * self.cells[idx];
-        }
-        clamped_median(readings)
+        let Self { ref rows, ref cells, width, depth, .. } = *self;
+        let mut deep_readings = if depth > MAX_FIXED_DEPTH { vec![0; depth] } else { Vec::new() };
+        with_depth_rows!(rows, r => {
+            median_of_rows(r, &mut deep_readings, |row, h| {
+                let (idx, sign) = cell_and_sign_of(h, row, width, prepared);
+                sign * cells[idx]
+            })
+        })
     }
 
     /// Number of buckets per row.
@@ -563,21 +568,54 @@ mod tests {
 
     #[test]
     fn rowwise_reference_matches_chunked_record_and_estimate() {
-        // Depth 11 forces a ragged final index chunk (11 = 8 + 3).
-        let mut chunked = CountSketch::with_dimensions(16, 11, 7).unwrap();
-        let mut rowwise = chunked.clone();
-        let mut rng = StdRng::seed_from_u64(43);
-        for step in 0..4_000 {
-            let id = rng.gen_range(0..96u64);
-            assert_eq!(
-                chunked.record_and_estimate(id),
-                rowwise.record_and_estimate_rowwise(id),
-                "step {step}"
-            );
+        // Depths 1..=16 each run their own kernel instantiation; 17..=20
+        // run the slice fallback and the quickselect median.
+        for depth in 1..=20usize {
+            for family in [HashFamilyKind::Mersenne, HashFamilyKind::MultiplyShift] {
+                let case = format!("depth {depth}, {family:?}");
+                let mut kernel =
+                    CountSketch::with_dimensions_family(16, depth, 7 + depth as u64, family)
+                        .unwrap();
+                let mut rowwise = kernel.clone();
+                let mut rng = StdRng::seed_from_u64(43 + depth as u64);
+                for step in 0..600 {
+                    let id = rng.gen_range(0..96u64);
+                    match step % 8 {
+                        3 => {
+                            let count = rng.gen_range(1..5u64);
+                            kernel.record_many(id, count);
+                            rowwise.record_many_rowwise(id, count);
+                        }
+                        7 => {
+                            let len = rng.gen_range(0..6usize);
+                            let batch: Vec<u64> = (0..len).map(|_| rng.gen_range(0..96)).collect();
+                            kernel.record_unfloored(&batch);
+                            for &id in &batch {
+                                rowwise.record_many_rowwise(id, 1);
+                            }
+                        }
+                        _ => assert_eq!(
+                            kernel.record_and_estimate(id),
+                            rowwise.record_and_estimate_rowwise(id),
+                            "step {step}, {case}"
+                        ),
+                    }
+                    let probe = rng.gen_range(0..128u64);
+                    assert_eq!(
+                        kernel.point_query(probe),
+                        rowwise.point_query_rowwise(probe),
+                        "query at step {step}, {case}"
+                    );
+                    assert_eq!(
+                        kernel.floor_estimate(),
+                        rowwise.floor_estimate(),
+                        "floor at step {step}, {case}"
+                    );
+                }
+                assert_eq!(kernel.cells(), rowwise.cells(), "{case}");
+                assert_eq!(kernel.total(), rowwise.total(), "{case}");
+            }
         }
-        assert_eq!(chunked.cells(), rowwise.cells());
-        assert_eq!(chunked.total(), rowwise.total());
-        assert_eq!(chunked.floor_estimate(), rowwise.floor_estimate());
     }
 
     #[test]

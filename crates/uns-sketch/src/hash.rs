@@ -252,7 +252,7 @@ impl RowHash {
 ///
 /// The sketches store their rows as concrete `Vec<UniversalHash>` /
 /// `Vec<MultiplyShiftHash>` (one variant of the crate-internal
-/// `FamilyRowHashes`) and instantiate their chunked record loops once per
+/// `FamilyRowHashes`) and instantiate their record loops once per
 /// implementor of this trait, so the per-row evaluation — `s` of them per
 /// stream element, the innermost operation of every sketch — compiles to
 /// straight-line arithmetic with no enum dispatch inside the loop.
@@ -307,13 +307,13 @@ pub(crate) enum FamilyRowHashes {
 
 impl FamilyRowHashes {
     /// Evaluates row `row` on a family-prepared value — the per-row-dispatch
-    /// form used by rolled reference and single-row paths; the chunked hot
-    /// paths go through `with_family_rows!` instead.
+    /// form used by the rolled references the kernels are tested against;
+    /// the kernels go through `with_family_rows!` instead.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of range.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn eval_row(&self, row: usize, prepared: u64) -> u64 {
         match self {
             FamilyRowHashes::Mersenne(rows) => rows[row].eval_prepared(prepared),

@@ -48,6 +48,7 @@
 
 pub mod count_min;
 pub mod count_sketch;
+mod depth;
 pub mod error;
 pub mod exact;
 pub mod fx;

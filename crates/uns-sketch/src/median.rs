@@ -3,7 +3,7 @@
 //! Every Count-sketch record and point query ends in the median of its `s`
 //! signed row readings. Those readings are hash-scattered counters, so a
 //! comparison sort over them branches on random data and mispredicts on
-//! most comparisons. Up to [`NETWORK_MAX_DEPTH`] rows the median is
+//! most comparisons. Up to [`MAX_FIXED_DEPTH`] rows the median is
 //! instead read off a sorting network: a fixed, fully unrolled sequence of
 //! compare-exchanges over a local array, each compiled to conditional moves
 //! through [`std::hint::select_unpredictable`]. With no loop or branch
@@ -11,27 +11,18 @@
 //! whose outputs never reach the middle. Deeper sketches fall back to
 //! [`slice::select_nth_unstable`].
 
+use crate::depth::{by_depth, MAX_FIXED_DEPTH};
 use std::hint::select_unpredictable;
-
-/// Deepest sketch whose median runs through the sorting network.
-pub(crate) const NETWORK_MAX_DEPTH: usize = 16;
 
 /// The clamped median of `readings`: the middle reading for an odd count,
 /// the midpoint of the two middle readings (rounded toward zero) for an
 /// even one, clamped at zero because frequencies are non-negative. The
 /// value equals that of sorting the readings; only counts above
-/// [`NETWORK_MAX_DEPTH`] reorder `readings`.
+/// [`MAX_FIXED_DEPTH`] reorder `readings`.
+#[inline(always)]
 pub(crate) fn clamped_median(readings: &mut [i64]) -> u64 {
     debug_assert!(!readings.is_empty(), "a sketch has at least one row");
-    macro_rules! by_depth {
-        ($($depth:literal)*) => {
-            match readings.len() {
-                $($depth => network_median::<$depth>(readings),)*
-                _ => select_median(readings),
-            }
-        };
-    }
-    by_depth!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    by_depth!(readings.len(), D => network_median::<D>(readings), _ => select_median(readings))
 }
 
 /// The clamped median of a sorted slice.
@@ -47,10 +38,10 @@ fn median_of_sorted(sorted: &[i64]) -> u64 {
     median.max(0) as u64
 }
 
-/// [`clamped_median`] for exactly `D ≤ NETWORK_MAX_DEPTH` readings.
+/// [`clamped_median`] for exactly `D ≤ MAX_FIXED_DEPTH` readings.
 #[inline]
 fn network_median<const D: usize>(readings: &[i64]) -> u64 {
-    let mut wires = [0i64; NETWORK_MAX_DEPTH];
+    let mut wires = [0i64; MAX_FIXED_DEPTH];
     wires[..D].copy_from_slice(readings);
     sort_first::<D>(&mut wires);
     median_of_sorted(&wires[..D])
@@ -73,7 +64,7 @@ fn select_median(readings: &mut [i64]) -> u64 {
 
 /// Orders wires `i < j` so that `wires[i] <= wires[j]`, without a branch.
 #[inline(always)]
-fn compare_exchange(wires: &mut [i64; NETWORK_MAX_DEPTH], i: usize, j: usize) {
+fn compare_exchange(wires: &mut [i64; MAX_FIXED_DEPTH], i: usize, j: usize) {
     let (a, b) = (wires[i], wires[j]);
     let swap = b < a;
     wires[i] = select_unpredictable(swap, b, a);
@@ -89,7 +80,7 @@ fn compare_exchange(wires: &mut [i64; NETWORK_MAX_DEPTH], i: usize, j: usize) {
 /// `j < D` is a constant per instantiation, so each depth compiles to its
 /// own straight-line network (32 comparators at depth 10).
 #[inline]
-fn sort_first<const D: usize>(wires: &mut [i64; NETWORK_MAX_DEPTH]) {
+fn sort_first<const D: usize>(wires: &mut [i64; MAX_FIXED_DEPTH]) {
     macro_rules! network {
         ($(($i:literal, $j:literal))*) => {
             $(if $j < D {
@@ -140,7 +131,7 @@ mod tests {
     /// sorts every input of `D` values.
     fn sorts_every_binary_input<const D: usize>() {
         for bits in 0u32..1 << D {
-            let mut wires = [i64::MAX; NETWORK_MAX_DEPTH];
+            let mut wires = [i64::MAX; MAX_FIXED_DEPTH];
             for (i, wire) in wires.iter_mut().take(D).enumerate() {
                 *wire = i64::from(bits >> i & 1);
             }
