@@ -24,10 +24,10 @@ fn ids() -> Vec<u64> {
         .collect()
 }
 
-/// The Fig. 7b stream (targeted + flooding attack), which the service
-/// benchmark's Count-sketch workload feeds.
+/// The Fig. 7b stream (targeted + flooding attack) over the service
+/// benchmark's 100k-id domain, which its Count-sketch workload feeds.
 fn flooding_ids() -> Vec<u64> {
-    IdStream::new(targeted_flooding_distribution(10_000).unwrap(), 4)
+    IdStream::new(targeted_flooding_distribution(100_000).unwrap(), 4)
         .take(STREAM_LEN)
         .map(NodeId::as_u64)
         .collect()
@@ -223,16 +223,37 @@ fn bench_fused(c: &mut Criterion) {
     // The service benchmark's `estimator.record_ns_per_elem` stage as a
     // kernel: the Count sketch at the mixed_rw workload's k = 250, s = 10
     // (hash, update, read, median per id), next to Count-Min at the Fig. 7
-    // k = 10, s = 5 on the same stream.
+    // k = 10, s = 5 on the same stream. Beside each Count-sketch record runs
+    // the query the sampler's feed asks instead, which skips the median
+    // when more than half of the rows read at or below the floor;
+    // `_k50_s20` runs both past the 16-row switch. The Count sketches start
+    // from 400k earlier elements of the stream, as in the service's
+    // long-lived streams: on a fresh sketch the floor `total/k` is still
+    // too small to decide admission.
     let flooding = flooding_ids();
-    group.bench_function("count_sketch_record_and_estimate_k250_s10", |b| {
-        b.iter(|| {
-            let mut sketch = CountSketch::with_dimensions(250, 10, 1).unwrap();
-            for &id in &flooding {
-                black_box(sketch.record_and_estimate(id));
-            }
-        })
-    });
+    for (k, s) in [(250usize, 10usize), (50, 20)] {
+        let mut warm = CountSketch::with_dimensions(k, s, 1).unwrap();
+        let history = IdStream::new(targeted_flooding_distribution(100_000).unwrap(), 5);
+        for id in history.take(400_000) {
+            warm.record(id.as_u64());
+        }
+        group.bench_function(format!("count_sketch_record_and_estimate_k{k}_s{s}"), |b| {
+            b.iter(|| {
+                let mut sketch = warm.clone();
+                for &id in &flooding {
+                    black_box(sketch.record_and_estimate(id));
+                }
+            })
+        });
+        group.bench_function(format!("count_sketch_record_for_admission_k{k}_s{s}"), |b| {
+            b.iter(|| {
+                let mut sketch = warm.clone();
+                for &id in &flooding {
+                    black_box(sketch.record_for_admission(id));
+                }
+            })
+        });
+    }
     group.bench_function("count_min_record_and_estimate_k10_s5", |b| {
         b.iter(|| {
             let mut sketch = CountMinSketch::with_dimensions(10, 5, 1).unwrap();

@@ -26,16 +26,21 @@
 //! The per-element cost is dominated by three things, all addressed here:
 //!
 //! * the sketch is driven through the **fused**
-//!   [`FrequencyEstimator::record_and_estimate`] operation, so each row of
+//!   [`FrequencyEstimator::record_for_admission`] operation, so each row of
 //!   the sketch is hashed once per element (the lock-step `cobegin` needs
 //!   both `f̂_j` and `min_σ` anyway — recording and estimating separately
 //!   would hash everything twice), and `min_σ` is an O(1) read off the
-//!   estimator's floor engine rather than a counter scan. Both sketches
-//!   compile that record once per depth up to 16 rows: the depth is
-//!   matched once per element, and the row loop of each instantiation runs
-//!   straight-line with no length checks (Count-Min hashes every row before
-//!   it writes the first cell, so the hash arithmetic never waits behind
-//!   the floor engine's branches);
+//!   estimator's floor engine rather than a counter scan. The operation
+//!   answers `max(f̂_j, min_σ)`, which admits exactly like `f̂_j`
+//!   (`a_j = 1` at or below the floor either way), so the estimator need
+//!   not finish an estimate the rule will not read: the Count sketch skips
+//!   the median of its rows when more than half of them read at or below
+//!   `min_σ`, which on a flooded stream is almost every element. Both
+//!   sketches compile their record once per depth up to 16 rows: the depth
+//!   is matched once per element, and the row loop of each instantiation
+//!   runs straight-line with no length checks (Count-Min hashes every row
+//!   before it writes the first cell, so the hash arithmetic never waits
+//!   behind the floor engine's branches);
 //! * the sampler's per-element coins (one insertion coin, one output draw)
 //!   come from a pluggable RNG `R`, defaulting to **blocked** xoshiro256++
 //!   ([`rand::rngs::BlockRng`]`<`[`rand::rngs::SmallRng`]`>`): the
@@ -377,8 +382,9 @@ impl<E: FrequencyEstimator, R: Rng> KnowledgeFreeSampler<E, R> {
     pub fn ingest_admitted(&mut self, id: NodeId) -> bool {
         // cobegin (Algorithm 3, lines 1–3): the estimator reads the element
         // first, so f̂_j accounts for this occurrence. The fused operation
-        // also hands back min_σ, saving the second hashing pass.
-        let (f_hat, min_sigma) = self.estimator.record_and_estimate(id.as_u64());
+        // also hands back min_σ, saving the second hashing pass. It reports
+        // max(f̂_j, min_σ), which admits exactly like f̂_j itself.
+        let (f_hat, min_sigma) = self.estimator.record_for_admission(id.as_u64());
         self.absorb_precomputed(id, f_hat, min_sigma)
     }
 
@@ -390,7 +396,8 @@ impl<E: FrequencyEstimator, R: Rng> KnowledgeFreeSampler<E, R> {
     /// (`uns_sim::ShardedIngestion`): shard workers compute, for every
     /// stream element, exactly the `(f̂_j, min_σ)` the sequential sampler
     /// would have seen at that position (Count-Min prefix states are
-    /// reconstructible by merging earlier chunks), and a single replay
+    /// reconstructible by merging earlier chunks; the sequential sampler
+    /// reads `max(f̂_j, min_σ)`, which decides alike), and a single replay
     /// thread calls this method in stream order. Because the method
     /// consumes random coins in exactly the order `ingest` does — one
     /// admission coin per full-memory non-resident element, one eviction
@@ -832,17 +839,52 @@ mod tests {
         assert_eq!(batched.memory_contents(), single.memory_contents());
     }
 
-    #[test]
-    fn precomputed_replay_is_bit_equal_to_ingest() {
-        // Replaying externally computed (f̂, min_σ) pairs must leave memory
-        // and RNG in exactly the state ingest() produces — the property the
-        // parallel pipeline in uns-sim is built on.
-        let stream: Vec<NodeId> = (0..2_000u64).map(|i| NodeId::new(i * 23 % 128)).collect();
-        let mut sequential = KnowledgeFreeSampler::with_count_min(6, 10, 4, 31).unwrap();
-        let mut replayed = KnowledgeFreeSampler::with_count_min(6, 10, 4, 31).unwrap();
+    /// A stream that puts a 16-wide sketch's estimates on both sides of
+    /// its floor `total/16`: one id is a tenth of all traffic, six share
+    /// half of it (each near `total/16`), and 64 more share the rest.
+    fn flooded_stream(len: u64) -> Vec<NodeId> {
+        let mut rng = StdRng::seed_from_u64(len);
+        (0..len)
+            .map(|i| {
+                let key = if i % 10 == 0 {
+                    0
+                } else if rng.gen_range(0..9u32) < 5 {
+                    rng.gen_range(1..7u64)
+                } else {
+                    rng.gen_range(100..164u64)
+                };
+                NodeId::new(key.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            })
+            .collect()
+    }
+
+    /// How many elements of `stream` a fresh `estimator` estimates above
+    /// its floor (on recording them), and how many at or below it.
+    fn floor_crossings<E: FrequencyEstimator>(mut estimator: E, stream: &[NodeId]) -> (u64, u64) {
+        let above = stream
+            .iter()
+            .filter(|id| {
+                let (f_hat, min_sigma) = estimator.record_and_estimate(id.as_u64());
+                f_hat > min_sigma
+            })
+            .count() as u64;
+        (above, stream.len() as u64 - above)
+    }
+
+    /// Replaying externally computed (f̂, min_σ) pairs must leave memory
+    /// and RNG in exactly the state ingest() produces — the property the
+    /// parallel pipeline in uns-sim is built on. The pairs come from the
+    /// exact `record_and_estimate`, so this also pins that the sampler's
+    /// own `record_for_admission` changed no admission decision.
+    fn assert_precomputed_replay_is_bit_equal_to_ingest<E: FrequencyEstimator + Clone>(
+        make: impl Fn() -> KnowledgeFreeSampler<E>,
+        stream: &[NodeId],
+    ) {
+        let mut sequential = make();
+        let mut replayed = make();
         // A shadow estimator computes the fused pairs the shards would.
         let mut shadow = sequential.estimator().clone();
-        for &id in &stream {
+        for &id in stream {
             sequential.ingest(id);
             let (f_hat, min_sigma) = shadow.record_and_estimate(id.as_u64());
             replayed.absorb_precomputed(id, f_hat, min_sigma);
@@ -853,23 +895,73 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(replayed.sample(), sequential.sample());
         }
-        // Same estimator state: identical fused reads afterwards.
-        for id in 0..128u64 {
+        // Same estimator state: identical reads afterwards.
+        for id in stream.iter().map(|id| id.as_u64()) {
             assert_eq!(replayed.estimator().estimate(id), sequential.estimator().estimate(id));
         }
     }
 
-    #[test]
-    fn feed_precomputed_matches_feed() {
-        let stream: Vec<NodeId> = (0..1_500u64).map(|i| NodeId::new(i * 11 % 64)).collect();
-        let mut fed = KnowledgeFreeSampler::with_count_min(5, 8, 3, 13).unwrap();
-        let mut replayed = KnowledgeFreeSampler::with_count_min(5, 8, 3, 13).unwrap();
+    /// The precomputed counterpart of `feed` returns what `feed` returns at
+    /// every step, fed by the exact `record_and_estimate`.
+    fn assert_feed_precomputed_matches_feed<E: FrequencyEstimator + Clone>(
+        make: impl Fn() -> KnowledgeFreeSampler<E>,
+        stream: &[NodeId],
+    ) {
+        let mut fed = make();
+        let mut replayed = make();
         let mut shadow = fed.estimator().clone();
-        for &id in &stream {
+        for (step, &id) in stream.iter().enumerate() {
             let expected = fed.feed(id);
             let (f_hat, min_sigma) = shadow.record_and_estimate(id.as_u64());
-            assert_eq!(replayed.feed_precomputed(id, f_hat, min_sigma), expected);
+            assert_eq!(replayed.feed_precomputed(id, f_hat, min_sigma), expected, "step {step}");
         }
+    }
+
+    #[test]
+    fn precomputed_replay_is_bit_equal_to_ingest() {
+        let cycling: Vec<NodeId> = (0..2_000u64).map(|i| NodeId::new(i * 23 % 128)).collect();
+        let flooded = flooded_stream(3_000);
+        for stream in [&cycling, &flooded] {
+            assert_precomputed_replay_is_bit_equal_to_ingest(
+                || KnowledgeFreeSampler::with_count_min(6, 10, 4, 31).unwrap(),
+                stream,
+            );
+            assert_precomputed_replay_is_bit_equal_to_ingest(
+                || KnowledgeFreeSampler::with_count_sketch(6, 16, 5, 31).unwrap(),
+                stream,
+            );
+            assert_precomputed_replay_is_bit_equal_to_ingest(
+                || KnowledgeFreeSampler::adaptive_omniscient(6, 31).unwrap(),
+                stream,
+            );
+        }
+        // The Count-sketch run took both sides of the floor.
+        let sketch = KnowledgeFreeSampler::with_count_sketch(6, 16, 5, 31).unwrap();
+        let (above, at_or_below) = floor_crossings(sketch.estimator().clone(), &flooded);
+        assert!(above > 0 && at_or_below > 0, "{above} above the floor, {at_or_below} at or below");
+    }
+
+    #[test]
+    fn feed_precomputed_matches_feed() {
+        let cycling: Vec<NodeId> = (0..1_500u64).map(|i| NodeId::new(i * 11 % 64)).collect();
+        let flooded = flooded_stream(2_000);
+        for stream in [&cycling, &flooded] {
+            assert_feed_precomputed_matches_feed(
+                || KnowledgeFreeSampler::with_count_min(5, 8, 3, 13).unwrap(),
+                stream,
+            );
+            assert_feed_precomputed_matches_feed(
+                || KnowledgeFreeSampler::with_count_sketch(5, 16, 10, 13).unwrap(),
+                stream,
+            );
+            assert_feed_precomputed_matches_feed(
+                || KnowledgeFreeSampler::adaptive_omniscient(5, 13).unwrap(),
+                stream,
+            );
+        }
+        let sketch = KnowledgeFreeSampler::with_count_sketch(5, 16, 10, 13).unwrap();
+        let (above, at_or_below) = floor_crossings(sketch.estimator().clone(), &flooded);
+        assert!(above > 0 && at_or_below > 0, "{above} above the floor, {at_or_below} at or below");
     }
 
     #[test]

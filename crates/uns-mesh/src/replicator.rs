@@ -520,7 +520,7 @@ pub struct Replicator {
     fault_plan: Option<Arc<FaultPlan>>,
     /// Per-stream sessions. A shipment takes its stream's entry out and
     /// puts it back, so the lock is never held across network I/O or the
-    /// local append.
+    /// local append; a demotion removes it ([`ReplicationSink::forget`]).
     sessions: Mutex<HashMap<String, StreamSessions>>,
     /// `uns_replication_ack_wait_nanos`, recorded as acks are read.
     ack_wait: Arc<LatencyHistogram>,
@@ -821,5 +821,12 @@ impl ReplicationSink for Replicator {
         }
         // 3. The acks are the release thread's to wait for.
         acks.map(|acks| Box::new(acks) as Box<dyn PendingAcks>)
+    }
+
+    fn forget(&self, stream: &str) {
+        // Dropped after the lock: dropping the sessions closes their peer
+        // connections.
+        let sessions = self.sessions.lock().expect("replicator lock poisoned").remove(stream);
+        drop(sessions);
     }
 }

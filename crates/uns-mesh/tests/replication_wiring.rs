@@ -9,7 +9,9 @@
 //!   routing question about another stream;
 //! * a served name is never held: routing refuses a shipment for a stream
 //!   the node serves, so the applier never opens the log its worker
-//!   writes.
+//!   writes;
+//! * a demoted stream leaves the sink: its replication connections close,
+//!   and a re-adoption ships over new ones.
 
 mod common;
 
@@ -17,7 +19,7 @@ use common::{batch_ids, stream_config, Mesh};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use uns_core::NodeId;
 use uns_mesh::{place, MeshConfig, ReplicaApplier};
 use uns_metrics::parse::{find, parse_exposition};
@@ -75,6 +77,60 @@ fn a_readopted_stream_ships_through_its_fresh_series() {
     assert_eq!(stats.replication.shipped_bytes, second, "Stats and /metrics agree");
     assert_eq!(stats.replication.lag_records, 0);
     assert_eq!(stats.replication.failovers, 1, "the adoption counts on the fresh series");
+    mesh.stop_all();
+}
+
+/// The connections `server`'s reactor holds open, as `/metrics` renders
+/// them.
+fn reactor_connections(server: &Server) -> u64 {
+    let samples = parse_exposition(&server.metrics().render()).expect("exposition parses");
+    find(&samples, "uns_reactor_connections", &[])
+        .and_then(|sample| sample.value_u64())
+        .expect("uns_reactor_connections is exported")
+}
+
+/// Polls `read` until it returns `want`, for at most 10 s.
+fn wait_for(what: &str, want: u64, read: impl Fn() -> u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let got = read();
+        if got == want {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{what}: still {got}, want {want}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_demoted_stream_closes_its_replication_connections() {
+    let stream = "demoted";
+    let mesh = Mesh::start(2, &MeshConfig::default());
+    let names: Vec<String> = mesh.membership.nodes().iter().map(|n| n.name.clone()).collect();
+    let placement = place(stream, &names, 1).expect("two live nodes");
+    let primary = mesh.nodes[mesh.index_of(&placement.primary)].server();
+    let replica = mesh.nodes[mesh.index_of(&placement.replicas[0])].server();
+    let mut client = ServiceClient::new(primary.connect_in_process()).expect("client");
+    client.create_stream(stream, &stream_config(EstimatorKind::CountMin)).expect("create");
+    client.feed_batch(stream, &batch_ids(0, BATCH_LEN)).expect("feed");
+    // The primary's only link to the replica is the stream's session.
+    let attached = reactor_connections(replica);
+    assert!(attached >= 1, "the replica serves the stream's replication connection");
+
+    primary.demote_stream(stream).expect("demote");
+    wait_for("replica connections after the demotion", attached - 1, || {
+        reactor_connections(replica)
+    });
+
+    // Adopted again, the stream attaches afresh and ships.
+    primary.adopt_stream(stream).expect("adopt again");
+    client.feed_batch(stream, &batch_ids(1, BATCH_LEN)).expect("feed after the adoption");
+    let (shipped, lag) = exported_series(primary, stream);
+    assert!(shipped > 0, "the re-adopted stream ships");
+    assert_eq!(lag, 0, "every ack is in once the reply is");
+    wait_for("replica connections after the re-adoption", attached, || {
+        reactor_connections(replica)
+    });
     mesh.stop_all();
 }
 

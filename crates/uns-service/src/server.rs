@@ -412,6 +412,12 @@ pub trait ReplicationSink: Send + Sync {
         record: &[u8],
         local: &mut dyn FnMut() -> bool,
     ) -> Option<Box<dyn PendingAcks>>;
+
+    /// Drops what the sink keeps for `stream`, which this node stopped
+    /// serving: [`Server::demote_stream`] calls it once the stream's worker
+    /// has answered the Demote, so none of its shipments is in flight. The
+    /// provided method keeps nothing to drop.
+    fn forget(&self, _stream: &str) {}
 }
 
 /// The replica acks of one shipped record, still outstanding when
@@ -875,7 +881,8 @@ impl Server {
 
     /// Demotes a stream this node serves: the name and its series leave
     /// the registry (no new ops route to it), then the owning worker flushes the
-    /// stream's WAL and drops its in-memory state. Durable files stay on
+    /// stream's WAL and drops its in-memory state, and the replication sink
+    /// (if any) [forgets](ReplicationSink::forget) it. Durable files stay on
     /// the backend — a replica applier can take them over, and
     /// [`Server::adopt_stream`] reverses the demotion.
     ///
@@ -915,6 +922,9 @@ impl Server {
                 other => break other,
             }
         };
+        if let Some(sink) = self.replication_sink.get() {
+            sink.forget(name);
+        }
         response.into_result().map(|_| ())
     }
 }

@@ -209,10 +209,11 @@ fn metrics_hot_path_allocates_zero_bytes_per_update() {
 /// The sketches' record paths, which every fed id runs through, allocate
 /// **zero** bytes at every depth: up to 16 rows the per-depth kernels keep
 /// their per-row buffers on the stack, and deeper sketches reuse buffers
-/// sized when the sketch was built.
+/// sized when the sketch was built. That covers the admission query the
+/// sampler asks, which skips the median on some ids and not on others.
 #[test]
 fn sketch_record_paths_allocate_zero_bytes_at_every_depth() {
-    use uns_sketch::{CountMinSketch, CountSketch, UpdatePolicy};
+    use uns_sketch::{CountMinSketch, CountSketch, FrequencyEstimator, UpdatePolicy};
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let ids: Vec<u64> = (0..512u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % 300).collect();
     for depth in 1..=20usize {
@@ -234,11 +235,13 @@ fn sketch_record_paths_allocate_zero_bytes_at_every_depth() {
                 for sketch in [&mut standard, &mut conservative] {
                     let (estimate, floor) = sketch.record_and_estimate(id);
                     sketch.record_many(id, 3);
-                    acc = acc.wrapping_add(estimate ^ floor);
+                    let (admission, _) = sketch.record_for_admission(id);
+                    acc = acc.wrapping_add(estimate ^ floor ^ admission);
                 }
                 let (estimate, floor) = count_sketch.record_and_estimate(id);
                 count_sketch.record_many(id, 2);
-                acc = acc.wrapping_add(estimate ^ floor);
+                let (admission, _) = count_sketch.record_for_admission(id);
+                acc = acc.wrapping_add(estimate ^ floor ^ admission);
             }
             count_sketch.record_unfloored(&ids);
             let allocated = THREAD_BYTES.load(Ordering::Relaxed) - before;

@@ -14,7 +14,9 @@
 use crate::depth::{row_buffer, with_depth_rows, MAX_FIXED_DEPTH};
 use crate::error::SketchError;
 use crate::hash::{FamilyRowHashes, HashFamily, HashFamilyKind, PreparedRowHash};
+#[cfg(test)]
 use crate::median::clamped_median;
+use crate::median::{floor_bound, floored_median, unfloored_median};
 use crate::FrequencyEstimator;
 
 /// Splits row `row`'s packed evaluation (hash `h`) of a family-prepared
@@ -50,23 +52,33 @@ fn update_rows<H: PreparedRowHash>(
     }
 }
 
-/// The clamped median of one signed reading per row, `reading_of(row, h)`,
-/// behind [`CountSketch::record_and_estimate`] and
-/// [`CountSketch::point_query`]. Compiled like [`update_rows`]; up to
-/// [`MAX_FIXED_DEPTH`] rows the readings stay on the stack, past it they go
-/// to `deep_readings` (at least `rows.len()` long).
+/// Takes one signed reading per row, `reading_of(row, h)`, counts those at
+/// or below `floor` as it goes, and returns `finish(readings, count,
+/// floor)`: the row kernel behind [`CountSketch::record_and_estimate`],
+/// [`CountSketch::record_for_admission`] and [`CountSketch::point_query`].
+/// Compiled like [`update_rows`]; up to [`MAX_FIXED_DEPTH`] rows the
+/// readings stay on the stack, past it they go to `deep_readings` (at least
+/// `rows.len()` long). The count rides in the row loop because a second
+/// pass over the stored readings measured slower; a finisher that ignores
+/// it compiles without it. The finishers are `#[inline(always)]` functions,
+/// not closures, so each per-depth copy inlines its own median.
 #[inline(always)]
-fn median_of_rows<H: PreparedRowHash>(
+fn finish_rows<H: PreparedRowHash>(
     rows: &[H],
     deep_readings: &mut [i64],
+    floor: u64,
     mut reading_of: impl FnMut(usize, &H) -> i64,
+    finish: impl FnOnce(&mut [i64], usize, u64) -> u64,
 ) -> u64 {
+    let bound = floor_bound(floor);
     let mut stack = [0; MAX_FIXED_DEPTH];
     let readings = row_buffer(&mut stack, deep_readings, rows.len());
+    let mut at_or_below = 0;
     for (row, (h, reading)) in rows.iter().zip(readings.iter_mut()).enumerate() {
         *reading = reading_of(row, h);
+        at_or_below += usize::from(*reading <= bound);
     }
-    clamped_median(readings)
+    finish(readings, at_or_below, floor)
 }
 
 /// The whole-batch loop behind [`CountSketch::record_unfloored`]: per-id
@@ -224,22 +236,56 @@ impl CountSketch {
     /// loop is compiled for the sketch's exact depth, so it runs
     /// straight-line, and the median of the readings comes from a
     /// branch-free sorting network. The published floor is the mean row
-    /// load, an O(1) arithmetic read.
+    /// load, an O(1) arithmetic read. The knowledge-free sampler asks
+    /// [`CountSketch::record_for_admission`] instead, which runs the same
+    /// row loop and skips the median whenever the floor decides admission.
     pub fn record_and_estimate(&mut self, id: u64) -> (u64, u64) {
+        self.record_then(id, unfloored_median)
+    }
+
+    /// Records one occurrence of `id` and returns `(max(f̂_id, floor),
+    /// floor)`: [`FrequencyEstimator::record_for_admission`], through the
+    /// row loop of [`CountSketch::record_and_estimate`]. When more than half
+    /// of the post-record row readings sit at or below the floor, so does
+    /// their median, and the answer is the floor without the median. The
+    /// exact estimate is needed only above the floor, which is rare under
+    /// attack: on the Fig. 7b targeted-flooding stream at `k = 250, s =
+    /// 10`, none of 3.6M elements past a 0.4M warm-up had its estimate
+    /// above the floor.
+    pub fn record_for_admission(&mut self, id: u64) -> (u64, u64) {
+        self.record_then(id, floored_median)
+    }
+
+    /// The record kernel behind both fused queries: records `id`, then
+    /// returns [`finish_rows`]' answer over the post-record signed reading
+    /// of every row and the post-record floor, and that floor.
+    #[inline(always)]
+    fn record_then(
+        &mut self,
+        id: u64,
+        finish: impl FnOnce(&mut [i64], usize, u64) -> u64,
+    ) -> (u64, u64) {
+        self.total = self.total.saturating_add(1);
+        let floor = self.sampling_floor();
         let prepared = self.family.prepare(id);
         let Self { ref rows, ref mut cells, ref mut deep_readings, width, .. } = *self;
         // A slice, not the `Vec`: through the vector the closure would reload
         // its pointer and length after every cell write.
         let cells: &mut [i64] = cells;
         let estimate = with_depth_rows!(rows, r => {
-            median_of_rows(r, deep_readings, |row, h| {
-                let (idx, sign) = cell_and_sign_of(h, row, width, prepared);
-                cells[idx] += sign;
-                sign * cells[idx]
-            })
+            finish_rows(
+                r,
+                deep_readings,
+                floor,
+                |row, h| {
+                    let (idx, sign) = cell_and_sign_of(h, row, width, prepared);
+                    cells[idx] += sign;
+                    sign * cells[idx]
+                },
+                finish,
+            )
         });
-        self.total = self.total.saturating_add(1);
-        (estimate, self.sampling_floor())
+        (estimate, floor)
     }
 
     /// The rolled scalar form of [`CountSketch::record_and_estimate`]: one
@@ -259,6 +305,20 @@ impl CountSketch {
         (clamped_median(&mut readings), self.sampling_floor())
     }
 
+    /// The signed reading of every row for `id`, rolled like
+    /// [`CountSketch::record_and_estimate_rowwise`]: what the queries
+    /// finish from.
+    #[cfg(test)]
+    fn readings_rowwise(&self, id: u64) -> Vec<i64> {
+        let prepared = self.family.prepare(id);
+        (0..self.depth)
+            .map(|row| {
+                let (idx, sign) = self.cell_and_sign(row, prepared);
+                sign * self.cells[idx]
+            })
+            .collect()
+    }
+
     /// The rolled scalar form of [`CountSketch::record_many`], the reference
     /// for it and for [`CountSketch::record_unfloored`].
     #[cfg(test)]
@@ -274,14 +334,7 @@ impl CountSketch {
     /// The rolled scalar form of [`CountSketch::point_query`].
     #[cfg(test)]
     fn point_query_rowwise(&self, id: u64) -> u64 {
-        let prepared = self.family.prepare(id);
-        let mut readings: Vec<i64> = (0..self.depth)
-            .map(|row| {
-                let (idx, sign) = self.cell_and_sign(row, prepared);
-                sign * self.cells[idx]
-            })
-            .collect();
-        clamped_median(&mut readings)
+        clamped_median(&mut self.readings_rowwise(id))
     }
 
     /// The published sampling floor `min_σ`: the **mean row load**
@@ -317,10 +370,16 @@ impl CountSketch {
         let Self { ref rows, ref cells, width, depth, .. } = *self;
         let mut deep_readings = if depth > MAX_FIXED_DEPTH { vec![0; depth] } else { Vec::new() };
         with_depth_rows!(rows, r => {
-            median_of_rows(r, &mut deep_readings, |row, h| {
-                let (idx, sign) = cell_and_sign_of(h, row, width, prepared);
-                sign * cells[idx]
-            })
+            finish_rows(
+                r,
+                &mut deep_readings,
+                0,
+                |row, h| {
+                    let (idx, sign) = cell_and_sign_of(h, row, width, prepared);
+                    sign * cells[idx]
+                },
+                unfloored_median,
+            )
         })
     }
 
@@ -453,6 +512,10 @@ impl FrequencyEstimator for CountSketch {
 
     fn record_and_estimate(&mut self, id: u64) -> (u64, u64) {
         CountSketch::record_and_estimate(self, id)
+    }
+
+    fn record_for_admission(&mut self, id: u64) -> (u64, u64) {
+        CountSketch::record_for_admission(self, id)
     }
 
     /// Analog of the paper's `min_σ` for signed counters: the mean row
@@ -614,6 +677,59 @@ mod tests {
                 }
                 assert_eq!(kernel.cells(), rowwise.cells(), "{case}");
                 assert_eq!(kernel.total(), rowwise.total(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn record_for_admission_is_the_exact_estimate_raised_to_the_floor() {
+        // Ids near the mean row load put the readings on both sides of the
+        // floor, so the floor alone decides (more than half at or below
+        // it), exactly half sit at or below it (even depths), or the median
+        // decides; id 999, flooded first and then every tenth element,
+        // keeps its estimate above `total/k` throughout.
+        const WIDTH: usize = 16;
+        for depth in 1..=20usize {
+            for family in [HashFamilyKind::Mersenne, HashFamilyKind::MultiplyShift] {
+                let case = format!("depth {depth}, {family:?}");
+                let mut admission =
+                    CountSketch::with_dimensions_family(WIDTH, depth, 3 + depth as u64, family)
+                        .unwrap();
+                let mut exact = admission.clone();
+                let mut rng = StdRng::seed_from_u64(71 + depth as u64);
+                // Steps the floor alone decided, exactly half decided
+                // nothing, and the median decided.
+                let (mut by_floor, mut by_half, mut by_median) = (0u32, 0u32, 0u32);
+                for step in 0..1200 {
+                    let key = if step < 50 || step % 10 == 0 {
+                        999
+                    } else if rng.gen_range(0..9u32) < 5 {
+                        rng.gen_range(0..6)
+                    } else {
+                        rng.gen_range(100..100 + 4 * WIDTH as u64)
+                    };
+                    // Spread over the whole id space: from one seed, the two
+                    // families draw near-identical rows for small ids.
+                    let id = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    let (estimate, floor) = exact.record_and_estimate(id);
+                    assert_eq!(
+                        admission.record_for_admission(id),
+                        (estimate.max(floor), floor),
+                        "step {step}, {case}"
+                    );
+                    assert_eq!(admission.cells(), exact.cells(), "step {step}, {case}");
+                    assert_eq!(admission.total(), exact.total(), "step {step}, {case}");
+                    let at_or_below =
+                        exact.readings_rowwise(id).iter().filter(|&&r| r <= floor as i64).count();
+                    match (2 * at_or_below).cmp(&depth) {
+                        std::cmp::Ordering::Greater => by_floor += 1,
+                        std::cmp::Ordering::Equal => by_half += 1,
+                        std::cmp::Ordering::Less => by_median += 1,
+                    }
+                }
+                assert!(by_floor > 0, "{case}: the floor never decided");
+                assert!(by_median > 0, "{case}: the median never decided");
+                assert!(depth % 2 == 1 || by_half > 0, "{case}: no step split the rows in half");
             }
         }
     }

@@ -72,13 +72,18 @@ pub use min_tracker::{CountOfCountsTracker, FloorTracker, MonotoneFloorTracker};
 /// (paper's Algorithm 3): on every stream element the sampler records the
 /// element, asks for its estimated frequency `f̂_j`, and for the *floor*
 /// `min_σ` (the smallest value any identifier could have accumulated so
-/// far). The insertion probability is then `a_j = floor / f̂_j`.
+/// far). The insertion probability is then `a_j = floor / f̂_j`. The
+/// sampler asks all three at once through
+/// [`FrequencyEstimator::record_for_admission`], which may stop computing
+/// `f̂_j` once it is known to sit at or below the floor.
 ///
 /// Implementations provided by this crate:
 ///
 /// * [`CountMinSketch`] — the paper's choice; sublinear space, never
 ///   under-estimates;
-/// * [`CountSketch`] — unbiased median estimator (ablation);
+/// * [`CountSketch`] — unbiased median estimator (ablation); its
+///   admission query skips the median of its rows when more than half of
+///   the row readings sit at or below the floor;
 /// * [`ExactFrequencyOracle`] — full-space exact counts, which turns the
 ///   knowledge-free strategy into the paper's adaptive omniscient strategy.
 ///
@@ -121,6 +126,25 @@ pub trait FrequencyEstimator {
     fn record_and_estimate(&mut self, id: u64) -> (u64, u64) {
         self.record(id);
         (self.estimate(id), self.floor_estimate())
+    }
+
+    /// Records one occurrence of `id` and returns `(max(f̂_id, min_σ),
+    /// min_σ)` — what the knowledge-free sampler's admission rule reads
+    /// (Algorithm 3): it admits with probability `min(1, min_σ/f̂_id)`, so
+    /// an estimate at or below the floor decides exactly like the floor
+    /// itself, and the exact `f̂_id` is needed only above it.
+    ///
+    /// Every implementation must leave the estimator exactly as
+    /// [`FrequencyEstimator::record_and_estimate`] does and return its
+    /// pair with the estimate raised to the floor. The provided method does
+    /// just that, which is all Count-Min and the exact oracle need: their
+    /// estimate is a minimum or a lookup, no dearer than the comparison
+    /// that could skip it. The Count sketch overrides it to skip the median
+    /// of its rows whenever more than half of the readings sit at or below
+    /// the floor.
+    fn record_for_admission(&mut self, id: u64) -> (u64, u64) {
+        let (estimate, floor) = self.record_and_estimate(id);
+        (estimate.max(floor), floor)
     }
 
     /// Returns the sampling floor — the paper's `min_σ` (Algorithm 3,

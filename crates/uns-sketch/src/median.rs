@@ -25,6 +25,35 @@ pub(crate) fn clamped_median(readings: &mut [i64]) -> u64 {
     by_depth!(readings.len(), D => network_median::<D>(readings), _ => select_median(readings))
 }
 
+/// `floor` as a bound on signed readings: saturated at `i64::MAX`, which
+/// every reading is at or below.
+#[inline(always)]
+pub(crate) fn floor_bound(floor: u64) -> i64 {
+    i64::try_from(floor).unwrap_or(i64::MAX)
+}
+
+/// `max(clamped_median(readings), floor)`, given how many of `readings`
+/// sit at or below [`floor_bound`]`(floor)`: when that is more than half of
+/// them, the median is at or below the floor too, and the answer is
+/// `floor` without the median. The median runs only when the count does
+/// not settle the answer (exactly half of an even count included).
+#[inline(always)]
+pub(crate) fn floored_median(readings: &mut [i64], at_or_below: usize, floor: u64) -> u64 {
+    if at_or_below > readings.len() / 2 {
+        floor
+    } else {
+        clamped_median(readings).max(floor)
+    }
+}
+
+/// [`clamped_median`] in the shape of [`floored_median`], for the queries
+/// that answer the estimate itself: it reads neither the count nor the
+/// floor.
+#[inline(always)]
+pub(crate) fn unfloored_median(readings: &mut [i64], _at_or_below: usize, _floor: u64) -> u64 {
+    clamped_median(readings)
+}
+
 /// The clamped median of a sorted slice.
 #[inline]
 fn median_of_sorted(sorted: &[i64]) -> u64 {
@@ -173,6 +202,30 @@ mod tests {
                 sorted_median_reference(&mut reference),
                 "depth {}, readings {:?}",
                 depth,
+                &pool[..depth]
+            );
+        }
+
+        /// The floored finisher, given the count of readings at or below
+        /// the floor's bound, equals the full median raised to the floor,
+        /// on both sides of the network switch and for floors past
+        /// `i64::MAX`.
+        #[test]
+        fn floored_median_is_the_median_raised_to_the_floor(
+            depth in 1usize..=20,
+            pool in vec(reading(), 20..21),
+            floor in prop_oneof![0u64..=4, (1u64 << 62) - 64..(1 << 62), (1u64 << 63)..=u64::MAX],
+        ) {
+            let mut readings = pool[..depth].to_vec();
+            let mut reference = readings.clone();
+            let bound = floor_bound(floor);
+            let at_or_below = readings.iter().filter(|&&reading| reading <= bound).count();
+            prop_assert_eq!(
+                floored_median(&mut readings, at_or_below, floor),
+                sorted_median_reference(&mut reference).max(floor),
+                "depth {}, floor {}, readings {:?}",
+                depth,
+                floor,
                 &pool[..depth]
             );
         }
